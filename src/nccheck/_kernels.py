@@ -1,118 +1,49 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: re-orthogonalized Gram-Schmidt and residual norms.
 
-The only loop-bound kernel in the package is re-orthogonalized Gram-Schmidt
-over stacks of flattened matrices: it runs inside every span() call and every
-closure round of generated algebras, with a sequential dependency that numpy
-cannot batch away.  Everything else (products, projections, eigen/SVD work)
-is BLAS/LAPACK-bound and stays in numpy.
-
-Backend selection: NCCHECK_NUMBA=0 in the environment forces the numpy path;
-anything else (including unset) uses numba when it imports.  Both paths run
-the same algorithm; results agree to floating rounding.
+Gram-Schmidt runs inside every span() call and every closure round of
+generated algebras, with a sequential dependency over rows; each step is a
+pair of BLAS matrix-vector products against the rows accepted so far.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("NCCHECK_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _env not in ("0", "false", "off", "no")
-
-USING_NUMBA = False
-
-if _WANT_NUMBA:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-
-
-def _orthonormalize_numpy(vecs, against, tol):
-    """Two-pass modified Gram-Schmidt on the rows of ``vecs``.
-
-    Rows are first projected off the orthonormal rows of ``against`` (may be
-    empty), then off previously accepted rows; the projection pass runs twice
-    for rank-decision stability.  Rows whose residual norm is <= tol are
-    dropped.  Returns the accepted orthonormal rows, in order.
-    """
-    m, d = vecs.shape
-    out = np.empty((m, d), dtype=np.complex128)
-    count = 0
-    for r in range(m):
-        v = vecs[r].astype(np.complex128, copy=True)
-        for _ in range(2):
-            if against.shape[0]:
-                v -= against.conj().dot(v).dot(against)
-            if count:
-                acc = out[:count]
-                v -= acc.conj().dot(v).dot(acc)
-        nrm = np.linalg.norm(v)
-        if nrm > tol:
-            out[count] = v / nrm
-            count += 1
-    return out[:count].copy()
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _orthonormalize_numba(vecs, against, tol):  # pragma: no cover - jitted
-        m, d = vecs.shape
-        na = against.shape[0]
-        out = np.empty((m, d), dtype=np.complex128)
-        count = 0
-        for r in range(m):
-            v = vecs[r].copy()
-            for _ in range(2):
-                for b in range(na):
-                    c = 0.0 + 0.0j
-                    for k in range(d):
-                        c += np.conj(against[b, k]) * v[k]
-                    for k in range(d):
-                        v[k] -= c * against[b, k]
-                for b in range(count):
-                    c = 0.0 + 0.0j
-                    for k in range(d):
-                        c += np.conj(out[b, k]) * v[k]
-                    for k in range(d):
-                        v[k] -= c * out[b, k]
-            s = 0.0
-            for k in range(d):
-                s += v[k].real * v[k].real + v[k].imag * v[k].imag
-            nrm = np.sqrt(s)
-            if nrm > tol:
-                for k in range(d):
-                    out[count, k] = v[k] / nrm
-                count += 1
-        return out[:count].copy()
-
-
-_EMPTY = np.zeros((0, 0), dtype=np.complex128)
 
 
 def orthonormalize_rows(vecs, tol, against=None):
     """Orthonormal basis (rows) of span(vecs) relative to ``against``.
 
-    ``against``, when given, must already have orthonormal rows; the output
-    spans the component of span(vecs) orthogonal to it.  Dispatches to the
-    numba kernel unless disabled via NCCHECK_NUMBA=0.
+    Two-pass modified Gram-Schmidt: each row is projected off the orthonormal
+    rows of ``against`` (when given, they must already be orthonormal), then
+    off previously accepted rows, twice for rank-decision stability.  Rows
+    whose residual norm is <= tol are dropped; the accepted rows are
+    returned in order and span the component of span(vecs) orthogonal to
+    ``against``.
     """
     vecs = np.ascontiguousarray(vecs, dtype=np.complex128)
     if vecs.ndim != 2:
         raise ValueError("expected a 2-d stack of row vectors")
+    m, d = vecs.shape
+    tol = float(tol)
     if against is None or against.shape[0] == 0:
-        against = np.zeros((0, vecs.shape[1]), dtype=np.complex128)
+        against = np.zeros((0, d), dtype=np.complex128)
     else:
         against = np.ascontiguousarray(against, dtype=np.complex128)
-    if vecs.shape[0] == 0:
-        return np.zeros((0, vecs.shape[1]), dtype=np.complex128)
-    if USING_NUMBA:
-        return _orthonormalize_numba(vecs, against, float(tol))
-    return _orthonormalize_numpy(vecs, against, float(tol))
+    against_conj = against.conj()
+    out = np.empty((m, d), dtype=np.complex128)
+    count = 0
+    for r in range(m):
+        v = vecs[r].copy()
+        for _ in range(2):
+            if against.shape[0]:
+                v -= against_conj.dot(v).dot(against)
+            if count:
+                v -= out[:count].conj().dot(v).dot(out[:count])
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            out[count] = v / nrm
+            count += 1
+    return out[:count].copy()
 
 
 def residual_norms(vecs, basis):

@@ -47,21 +47,34 @@ class OperatorAlgebra:
         k = basis.shape[0]
         if k == 0:
             return 0.0
-        prods = np.einsum("aij,bjk->abik", basis, basis).reshape(k * k, -1)
+        vecs = self.subspace.vecs
         adjs = np.conj(np.transpose(basis, (0, 2, 1))).reshape(k, -1)
-        cand = np.vstack([prods, adjs])
-        res = residual_norms(cand, self.subspace.vecs)
-        return float(res.max())
+        res = max(residual_norms(p, vecs).max() for p in pairwise_products(basis))
+        return float(max(res, residual_norms(adjs, vecs).max()))
 
 
-def _pairwise_products(basis, chunk=64):
-    """Stack of all pairwise products of the basis matrices (flattened)."""
-    k, n, _ = basis.shape
-    out = []
-    for start in range(0, k, chunk):
-        block = np.einsum("aij,bjk->abik", basis[start : start + chunk], basis)
-        out.append(block.reshape(-1, n * n))
-    return np.vstack(out)
+# Entries of one block of pairwise products (32 MiB of complex128): large
+# enough for an efficient GEMM, small enough that closing an algebra of
+# dimension k on C^n never holds all k^2 n^2 entries at once.
+_PRODUCT_BLOCK_ENTRIES = 1 << 21
+
+
+def pairwise_products(left, right=None):
+    """Flattened products left[a] @ right[b], in row order a * len(right) + b.
+
+    Yields blocks of consecutive rows a; each block is one GEMM of the
+    stacked rows of ``left[a0:a1]`` against the side-by-side ``right``.
+    ``right`` defaults to ``left``.
+    """
+    right = left if right is None else right
+    k, n, _ = right.shape
+    side_by_side = right.transpose(1, 0, 2).reshape(n, k * n)  # [j, (b, l)]
+    chunk = max(1, _PRODUCT_BLOCK_ENTRIES // (k * n * n))
+    for start in range(0, left.shape[0], chunk):
+        rows = left[start : start + chunk]
+        c = rows.shape[0]
+        block = (rows.reshape(c * n, n) @ side_by_side).reshape(c, n, k, n)
+        yield block.transpose(0, 2, 1, 3).reshape(c * k, n * n)
 
 
 def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
@@ -92,11 +105,13 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
         if extra.shape[0]:
             space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
             basis = space.basis_matrices()
-        prods = _pairwise_products(basis)
-        keep = residual_norms(prods, space.vecs) > tol
-        if not keep.any():
+        # products with a residual against the span, in row order
+        new = np.vstack(
+            [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(basis)]
+        )
+        if new.shape[0] == 0:
             break
-        extra = orthonormalize_rows(prods[keep], tol, against=space.vecs)
+        extra = orthonormalize_rows(new, tol, against=space.vecs)
         if extra.shape[0] == 0:
             break
         space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
@@ -126,18 +141,27 @@ def commutant_constraint_gram(generators):
     """Hermitian PSD Gram matrix A = sum_g M_g^* M_g of the commutation map.
 
     M_g vec(X) = vec(Xg - gX) in row-major flattening, i.e.
-    M_g = I (x) g^T - g (x) I.  The expansion collapses to two Kronecker
-    terms plus two one-shot einsum contractions over the generator stack.
+    M_g = I (x) g^T - g (x) I, so
+    A = I (x) sum conj(g) g^T + sum g^* g (x) I - T - T^*, T = sum g (x) conj(g).
+    T comes from one GEMM over the generator stack, permuted once; both sums
+    are partial traces of that GEMM, and the two Kronecker terms are added in
+    place on block-diagonal index views, so A is the only n^2 x n^2 array
+    besides T.
     """
     g = np.asarray(generators, dtype=complex)
     k, n, _ = g.shape
-    gc = g.conj()
-    s1 = np.einsum("gia,gja->ij", gc, g)  # sum conj(g) g^T (Hermitian)
-    s2 = np.einsum("gai,gaj->ij", gc, g)  # sum g^* g
-    eye = np.eye(n, dtype=complex)
-    a = np.kron(eye, s1) + np.kron(s2, eye)
-    t = np.einsum("gij,gkl->ikjl", g, gc).reshape(n * n, n * n)
-    a -= t + t.conj().T
+    flat = g.reshape(k, n * n)
+    m = (flat.T @ flat.conj()).reshape(n, n, n, n)  # m[i,j,k,l] = sum g_ij conj(g_kl)
+    s1 = np.trace(m, axis1=1, axis2=3).T  # sum conj(g) g^T
+    s2 = np.trace(m, axis1=0, axis2=2).T  # sum g^* g
+    a = m.transpose(0, 2, 1, 3).reshape(n * n, n * n)  # T[(i,k),(j,l)] = m[i,j,k,l]
+    del m
+    a += a.conj().T
+    np.negative(a, out=a)
+    blocks = a.reshape(n, n, n, n)
+    idx = np.arange(n)
+    blocks[idx, :, idx, :] += s1  # I (x) s1
+    blocks[:, idx, :, idx] += s2  # s2 (x) I
     return a
 
 
@@ -197,12 +221,11 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
     null = evals <= tol * max(1.0, lam_max)
     center_coeff = evecs[:, null].T
     c = center_coeff.shape[0]
-    center = np.einsum("ri,ijk->rjk", center_coeff, basis)
     # generic Hermitian central element separates the isotypic blocks: it is
     # a distinct scalar on each one, so its eigenspaces are the blocks
     rng = np.random.default_rng(rng_seed)
     w = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-    z = np.einsum("r,rjk->jk", w, center)
+    z = ((w @ center_coeff) @ flat).reshape(n, n)
     z = z + z.conj().T
     zvals, zvecs = np.linalg.eigh(z)
     gap = 1e-6 * max(1.0, float(zvals[-1] - zvals[0]))
@@ -215,9 +238,10 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
         raise ValueError("central element failed to separate blocks; retry with new seed")
     total = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        p = zvecs[:, lo:hi] @ zvecs[:, lo:hi].conj().T
-        # the compressed algebra p C p is a full matrix algebra M_d
-        block = np.einsum("ij,rjk,kl->ril", p, basis, p).reshape(k, n * n)
+        v = zvecs[:, lo:hi]
+        # the compressed algebra p C p, p = v v^*, is a full matrix algebra
+        # M_d; v^* C v is isometric to it
+        block = (v.conj().T @ basis @ v).reshape(k, -1)
         d2 = orthonormalize_rows(block, 1e-7).shape[0]
         d = int(round(np.sqrt(d2)))
         if d * d != d2:
@@ -252,7 +276,7 @@ def commutes_with_all(x, b, tol=DEFAULT_TOL, norm="fro"):
     reported magnitude must be the spectral norm.
     """
     basis = _basis_stack(b)
-    comm = np.einsum("ij,gjk->gik", x, basis) - np.einsum("gij,jk->gik", basis, x)
+    comm = x @ basis - basis @ x
     if norm == "op":
         worst = max(float(np.linalg.norm(c, 2)) for c in comm)
     else:

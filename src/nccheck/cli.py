@@ -205,16 +205,22 @@ def cmd_product(args):
         print(f"cannot form product: {exc}", file=sys.stderr)
         return 3
     checks, details = _triple_checks(prod, tol)
+    # A, Omega^1 and Cl_D do not depend on J, so any product serves the
+    # first two lemmas; the rest need the Koszul one, and Prop 22 both
     if t1.grading is not None:
-        checks.append(one_forms_decomposition_check(t1, t2, tol=tol).to_dict())
+        checks.append(one_forms_decomposition_check(t1, t2, prod, tol).to_dict())
         if t2.grading is not None:
-            checks.append(lemma_21b_check(t1, t2, tol=tol).to_dict())
+            checks.append(lemma_21b_check(t1, t2, prod, tol).to_dict())
             if (
                 t1.real_structure is not None
                 and t2.real_structure is not None
             ):
-                checks.append(lemma_25_check(t1, t2, tol=tol).to_dict())
-                kos, plain = plain_vs_koszul_order_two(t1, t2, tol)
+                other = "plain" if args.j_mode == "koszul" else "koszul"
+                modes = {args.j_mode: prod, other: product_triple(t1, t2, other, tol)}
+                modes[other].share_derived(prod)
+                koszul = modes["koszul"]
+                checks.append(lemma_25_check(t1, t2, koszul, tol).to_dict())
+                kos, plain = plain_vs_koszul_order_two(t1, t2, tol, koszul, modes["plain"])
                 checks.append(
                     {
                         "name": "prop22_koszul_order_two",
@@ -223,8 +229,8 @@ def cmd_product(args):
                         "details": {"plain_mode_order_two": plain.holds},
                     }
                 )
-                checks.append(product_sign_check(t1, t2, tol).to_dict())
-                checks.append(alt_dirac_intertwine_check(t1, t2, tol).to_dict())
+                checks.append(product_sign_check(t1, t2, tol, koszul).to_dict())
+                checks.append(alt_dirac_intertwine_check(t1, t2, tol, koszul).to_dict())
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "product",

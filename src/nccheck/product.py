@@ -384,16 +384,17 @@ def lemma_25_check(t1, t2, product=None, tol=None):
     )
 
 
-def alt_dirac_intertwine_check(t1, t2, tol=None):
+def alt_dirac_intertwine_check(t1, t2, tol=None, product=None):
     """J_koszul D = eps' D~ J_koszul with eps' = eps'_1, for eligible pairs
-    (eps'_1 eps''_1 = eps'_2); reports eligibility in the details."""
+    (eps'_1 eps''_1 = eps'_2); reports eligibility in the details.
+    ``product``, when given, is the Koszul product of t1 and t2."""
     tol = t1.tol if tol is None else tol
     s1 = check_signs(t1)
     s2 = check_signs(t2)
     e1, ep1, epp1 = s1.tuple()
     _, ep2, _ = s2.tuple()
     eligible = None not in (ep1, epp1, ep2) and ep1 * epp1 == ep2
-    prod = product_triple(t1, t2, "koszul", tol)
+    prod = product if product is not None else product_triple(t1, t2, "koszul", tol)
     dtil = alt_dirac(t1, t2)
     k = prod.real_structure.j.kernel
     d = prod.dirac
@@ -411,12 +412,13 @@ def alt_dirac_intertwine_check(t1, t2, tol=None):
     )
 
 
-def product_sign_check(t1, t2, tol=None):
+def product_sign_check(t1, t2, tol=None, product=None):
     """Koszul product signs: eps'' = eps''_1 eps''_2 always; when both
     eps''_i = +1 additionally eps = eps_1 eps_2.  D-degenerate eps' values
-    are reported, never asserted."""
+    are reported, never asserted.  ``product``, when given, is the Koszul
+    product of t1 and t2."""
     tol = t1.tol if tol is None else tol
-    prod = product_triple(t1, t2, "koszul", tol)
+    prod = product if product is not None else product_triple(t1, t2, "koszul", tol)
     s1, s2, sp = check_signs(t1), check_signs(t2), check_signs(prod)
     e1, _, epp1 = s1.tuple()
     e2, _, epp2 = s2.tuple()
@@ -434,13 +436,14 @@ def product_sign_check(t1, t2, tol=None):
     return _lemma_report("product_signs", ok, details)
 
 
-def plain_vs_koszul_order_two(t1, t2, tol=None):
+def plain_vs_koszul_order_two(t1, t2, tol=None, koszul=None, plain=None):
     """Run the second-order check under both product real structures.
 
     Returns (koszul_report, plain_report); the paper's positive result is
     about the Koszul mode and its negative remark about the plain mode.
+    ``koszul`` and ``plain``, when given, are those products of t1 and t2.
     """
     tol = t1.tol if tol is None else tol
-    kos = product_triple(t1, t2, "koszul", tol)
-    pla = product_triple(t1, t2, "plain", tol)
+    kos = koszul if koszul is not None else product_triple(t1, t2, "koszul", tol)
+    pla = plain if plain is not None else product_triple(t1, t2, "plain", tol)
     return check_order_two(kos, tol), check_order_two(pla, tol)

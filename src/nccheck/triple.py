@@ -7,7 +7,13 @@ from functools import reduce
 
 import numpy as np
 
-from .algebra import OperatorAlgebra, commutant, commutes_with_all, generate_star_algebra
+from .algebra import (
+    OperatorAlgebra,
+    commutant,
+    commutes_with_all,
+    generate_star_algebra,
+    pairwise_products,
+)
 from .numlin import (
     DEFAULT_TOL,
     EXACT_TOL,
@@ -178,18 +184,31 @@ class FiniteSpectralTriple:
                 if worst > tol:
                     raise TripleValidationError("twist_commutes_algebra", f"[tau, a] != 0 ({worst:.2e})")
             self.real_structure = real_structure
-        self._algebra = None
-        self._one_forms = None
-        self._clifford = None
-        self._clifford_gamma = None
+        # A, Omega^1, Cl_D and Cl^gamma, keyed by name, each built on first use
+        self._derived = {}
 
     # -- cached derived structures ------------------------------------
 
+    def share_derived(self, other):
+        """Use ``other``'s cached A, Omega^1, Cl_D and Cl^gamma from now on.
+
+        They depend on the generators, D, gamma and tol but never on J, so
+        triples that differ only in their real structure may share them.
+        """
+        mine = [self.dirac, self.grading, *self.algebra_generators]
+        theirs = [other.dirac, other.grading, *other.algebra_generators]
+        same = self.tol == other.tol and len(mine) == len(theirs)
+        if not (same and all(map(np.array_equal, mine, theirs))):
+            raise ValueError("share_derived needs the same generators, D, grading and tol")
+        self._derived = other._derived
+
     def algebra(self):
         """The generated unital *-algebra A."""
-        if self._algebra is None:
-            self._algebra = generate_star_algebra(self.algebra_generators, True, self.tol)
-        return self._algebra
+        if "algebra" not in self._derived:
+            self._derived["algebra"] = generate_star_algebra(
+                self.algebra_generators, True, self.tol
+            )
+        return self._derived["algebra"]
 
     def algebra_basis(self):
         return self.algebra().basis_matrices()
@@ -202,33 +221,31 @@ class FiniteSpectralTriple:
 
 def one_forms(t):
     """Omega^1_D(A): span of a [D, b] over the algebra basis."""
-    if t._one_forms is None:
+    if "one_forms" not in t._derived:
         basis = t.algebra_basis()
-        d = t.dirac
-        db = np.einsum("ij,bjk->bik", d, basis) - np.einsum("bij,jk->bik", basis, d)
-        prods = np.einsum("aij,bjk->abik", basis, db)
-        k = basis.shape[0]
-        mats = prods.reshape(k * k, t.hilbert_dim, t.hilbert_dim)
-        t._one_forms = span(list(mats), t.tol)
-    return t._one_forms
+        n = t.hilbert_dim
+        db = t.dirac @ basis - basis @ t.dirac
+        mats = np.vstack(list(pairwise_products(basis, db))).reshape(-1, n, n)
+        t._derived["one_forms"] = span(list(mats), t.tol)
+    return t._derived["one_forms"]
 
 
 def clifford(t):
     """Cl_D(A): the *-algebra generated by A and the one-forms."""
-    if t._clifford is None:
+    if "clifford" not in t._derived:
         gens = list(t.algebra_basis()) + list(one_forms(t).basis_matrices())
-        t._clifford = generate_star_algebra(gens, True, t.tol)
-    return t._clifford
+        t._derived["clifford"] = generate_star_algebra(gens, True, t.tol)
+    return t._derived["clifford"]
 
 
 def clifford_gamma(t):
     """Cl^gamma_D(A): generated by Cl_D(A) and the grading."""
     if t.grading is None:
         raise TripleValidationError("grading_required", "clifford_gamma needs a grading")
-    if t._clifford_gamma is None:
+    if "clifford_gamma" not in t._derived:
         gens = list(clifford(t).basis_matrices()) + [t.grading]
-        t._clifford_gamma = generate_star_algebra(gens, True, t.tol)
-    return t._clifford_gamma
+        t._derived["clifford_gamma"] = generate_star_algebra(gens, True, t.tol)
+    return t._derived["clifford_gamma"]
 
 
 # -- order conditions ----------------------------------------------------

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from nccheck import algebra
 from nccheck.algebra import (
     circ_image,
     commutant,
     commutant_constraint_gram,
     commutant_dimension,
     generate_star_algebra,
+    pairwise_products,
 )
 from nccheck.catalog import TRANSPOSE_PERM
 from nccheck.numlin import (
@@ -86,6 +88,34 @@ def test_rank_nullity_of_constraint_system():
         gram = commutant_constraint_gram(alg.basis_matrices())
         rank = int(np.sum(np.linalg.eigvalsh(gram) > 1e-9))
         assert rank + commutant(alg).dim == n * n
+
+
+def test_constraint_gram_matches_explicit_sum():
+    rng = np.random.default_rng(6)
+    for n in range(1, 5):
+        for k in (1, 2, 3):
+            gens = np.stack([rand_mat(rng, n) for _ in range(k)])
+            eye = np.eye(n)
+            want = 0
+            for g in gens:
+                m = np.kron(eye, g.T) - np.kron(g, eye)  # vec(Xg - gX), row-major
+                want = want + m.conj().T @ m
+            assert np.allclose(commutant_constraint_gram(gens), want, atol=1e-12)
+
+
+def test_pairwise_products_match_naive(monkeypatch):
+    rng = np.random.default_rng(7)
+    left = np.stack([rand_mat(rng, 3) for _ in range(5)])
+    right = np.stack([rand_mat(rng, 3) for _ in range(4)])
+    want = np.stack([(a @ b).reshape(-1) for a in left for b in right])
+    # one block; blocks of one left factor; blocks of two (4 * 9 entries each)
+    for entries, n_blocks in ((1 << 21, 1), (1, 5), (2 * 4 * 9, 3)):
+        monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", entries)
+        blocks = list(pairwise_products(left, right))
+        assert len(blocks) == n_blocks
+        assert np.allclose(np.vstack(blocks), want, atol=1e-12)
+    square = np.vstack(list(pairwise_products(left)))
+    assert np.allclose(square, [(a @ b).reshape(-1) for a in left for b in left], atol=1e-12)
 
 
 def test_left_mult_algebra_commutant_is_right_mult():

@@ -119,6 +119,25 @@ def test_catalog_list_and_golden_export_stable(tmp_path):
         assert fresh == committed, f"golden file drift: {name}"
 
 
+def test_product_command_builds_each_product_once(monkeypatch, capsys):
+    from nccheck import cli, product
+
+    calls = []
+    real = product.product_triple
+
+    def counted(*args, **kwargs):
+        calls.append(args[2] if len(args) > 2 else kwargs.get("j_mode", "plain"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(product, "product_triple", counted)
+    hodge = os.path.join(GOLDEN, "hodge_m2.json")
+    code = cli.main(["product", hodge, hodge, "--j-mode", "koszul", "--json"])
+    assert code == 0
+    names = {c["name"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {"conjugated_clifford_right_product", "prop22_koszul_order_two"} <= names
+    assert sorted(calls) == ["koszul", "plain"]
+
+
 def test_product_command_writes_document(tmp_path):
     out = tmp_path / "prod.json"
     proc = run_cli(

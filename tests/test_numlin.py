@@ -125,19 +125,34 @@ def test_subspace_witness_direction():
     assert small.residual(mat) > 0.9
 
 
-def test_kernel_backends_agree():
-    rng = np.random.default_rng(5)
-    vecs = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
-    vecs[5] = vecs[0] * 2.0 + vecs[1] * (1 - 1j)  # force a dependent row
-    a = _kernels._orthonormalize_numpy(np.ascontiguousarray(vecs), np.zeros((0, 9), complex), 1e-9)
-    b = _kernels.orthonormalize_rows(vecs, 1e-9)
-    assert a.shape == b.shape
-    # same span either way
-    from nccheck.numlin import MatrixSubspace
+def _row_projector(rows):
+    return rows.conj().T @ rows  # orthogonal projector onto the span of orthonormal rows
 
-    sa = MatrixSubspace(3, a)
-    sb = MatrixSubspace(3, b)
-    assert subspace_equal(sa, sb)
+
+def test_orthonormalize_rows_matches_svd():
+    rng = np.random.default_rng(5)
+    # 12 rows of rank 5 in C^9, plus a zero row
+    vecs = (rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))) @ (
+        rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
+    )
+    vecs[7] = 0
+    _, sv, vh = np.linalg.svd(vecs)
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
+    out = _kernels.orthonormalize_rows(vecs, 1e-9)
+    assert out.shape == (rank, 9) and rank == 5
+    assert np.allclose(out @ out.conj().T, np.eye(rank), atol=1e-12)
+    assert np.allclose(_row_projector(out), _row_projector(vh[:rank]), atol=1e-10)
+    # relative to orthonormal rows: the output is orthogonal to them and
+    # together they span span(vecs) + span(against)
+    against = np.linalg.qr(rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2)))[0].T
+    rel = _kernels.orthonormalize_rows(vecs, 1e-9, against=against)
+    assert rel.shape == (5, 9)
+    assert np.allclose(rel @ against.conj().T, 0, atol=1e-12)
+    both = np.vstack([vecs, against])
+    _, sv, vh = np.linalg.svd(both)
+    rank = int(np.sum(sv > 1e-9 * sv[0]))
+    assert rank == 7
+    assert np.allclose(_row_projector(np.vstack([against, rel])), _row_projector(vh[:rank]), atol=1e-10)
 
 
 def test_antilinear_operator_requires_unitary_kernel():

@@ -188,6 +188,29 @@ def test_lemma_checks_on_evenspin_pair():
     assert not r25.details["unconjugated_variant_holds"]
 
 
+def test_plain_and_koszul_products_share_derived_structures():
+    t1, t2 = example_hodge_m2(), example_hodge_m2()
+    kos = product_triple(t1, t2, "koszul")
+    plain = product_triple(t1, t2, "plain")
+    plain.share_derived(kos)
+    assert clifford(plain) is clifford(kos)  # built once, for both
+    fresh = product_triple(t1, t2, "plain")
+    assert subspace_equal(clifford(fresh).subspace, clifford(kos).subspace)
+    # the checks give the same verdicts on passed-in products as on their own
+    kos_two, plain_two = plain_vs_koszul_order_two(t1, t2, koszul=kos, plain=plain)
+    assert (kos_two.holds, plain_two.holds) == tuple(
+        r.holds for r in plain_vs_koszul_order_two(t1, t2)
+    )
+    assert product_sign_check(t1, t2, product=kos).to_dict() == product_sign_check(t1, t2).to_dict()
+    assert (
+        alt_dirac_intertwine_check(t1, t2, product=kos).to_dict()
+        == alt_dirac_intertwine_check(t1, t2).to_dict()
+    )
+    other = product_triple(example_evenspin(), example_evenspin(), "plain")
+    with pytest.raises(ValueError):
+        other.share_derived(kos)
+
+
 def test_lemma13_with_zero_first_dirac():
     # D1 = 0: the product one-forms reduce to gamma1 A1 (x) Omega^1_2
     t1 = example_evenspin()
