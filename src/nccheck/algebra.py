@@ -8,7 +8,6 @@ from ._kernels import orthonormalize_rows, residual_norms
 from .numlin import (
     DEFAULT_TOL,
     MatrixSubspace,
-    adjoint,
     as_matrix,
     circ,
     span,
@@ -118,15 +117,6 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
         if space.dim >= n * n:
             break
     return OperatorAlgebra(space, unital)
-
-
-def algebra_from_subspace(subspace, unital, tol=DEFAULT_TOL):
-    """Wrap an already-closed subspace, asserting the closure invariants."""
-    alg = OperatorAlgebra(subspace, unital)
-    defect = alg.closure_defect(tol)
-    if defect > tol * 10:
-        raise ValueError(f"subspace is not product/adjoint closed (defect {defect:.2e})")
-    return alg
 
 
 def _basis_stack(b):

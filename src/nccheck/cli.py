@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -22,7 +23,6 @@ from .numlin import DEFAULT_TOL
 from .serialize import (
     SCHEMA_VERSION,
     DocumentError,
-    matrix_to_json,
     triple_from_document,
     triple_to_document,
 )
@@ -38,12 +38,23 @@ from .triple import (
 )
 
 
+def _tolerance(text):
+    """Parse a tolerance: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid tolerance {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def _default_tol():
     env = os.environ.get("NCCHECK_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
+            return _tolerance(env)
+        except argparse.ArgumentTypeError:
             print(f"warning: ignoring invalid NCCHECK_TOL={env!r}", file=sys.stderr)
     return DEFAULT_TOL
 
@@ -310,12 +321,6 @@ def cmd_gct(args):
     return 0 if failures == 0 else 1
 
 
-def _run_catalog(tol):
-    from .tests_support import evaluate_catalog
-
-    return evaluate_catalog(tol)
-
-
 def cmd_catalog(args):
     from .catalog import catalog_entries
     from .tests_support import evaluate_catalog
@@ -367,10 +372,11 @@ def main(argv=None):
     )
     parser.add_argument("--version", action="version", version=f"nccheck {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    default_tol = _default_tol()
 
     p = sub.add_parser("check", help="run all checks on a triple document")
     p.add_argument("path")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -379,13 +385,13 @@ def main(argv=None):
     p.add_argument("path2")
     p.add_argument("--j-mode", choices=("plain", "koszul"), default="plain")
     p.add_argument("--out")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_product)
 
     p = sub.add_parser("torus", help="run the band-limited torus suite")
     p.add_argument("--band", type=int, default=3)
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_torus)
 
@@ -393,14 +399,14 @@ def main(argv=None):
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--dim-max", type=int, default=4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gct)
 
     p = sub.add_parser("catalog", help="run, list, or export the named examples")
     p.add_argument("action", choices=("run", "list", "export"))
     p.add_argument("dir", nargs="?")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.set_defaults(fn=cmd_catalog)
 
     args = parser.parse_args(argv)

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
-    OperatorAlgebra,
     circ_image,
     commutant,
     commutant_dimension,

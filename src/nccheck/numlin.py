@@ -13,7 +13,6 @@ import numpy as np
 from ._kernels import orthonormalize_rows, residual_norms
 
 DEFAULT_TOL = 1e-9
-EXACT_TOL = 1e-12
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -42,20 +41,11 @@ def commutator(a, b):
     return a @ b - b @ a
 
 
-def anticommutator(a, b):
-    return a @ b + b @ a
-
-
 def opnorm(m):
     """Operator (spectral) norm; the norm used for violation witnesses."""
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
-
-
-def trace_inner(x, y):
-    """Tr(X^* Y)."""
-    return complex(np.vdot(x, y))
 
 
 def is_unitary(k, tol=DEFAULT_TOL):
@@ -66,7 +56,7 @@ def is_unitary(k, tol=DEFAULT_TOL):
 class AntilinearOperator:
     """Antilinear map v -> K conj(v) for a unitary kernel K.
 
-    Stores the kernel only; the inverse acts as v -> conj(K^* v).  As linear
+    Stores the kernel only; J^{-1} acts as v -> conj(K^* v).  As linear
     maps, J^2 = K conj(K), and conjugation of a linear operator X is
     J X J^{-1} = K conj(X) K^*.
     """
@@ -82,9 +72,6 @@ class AntilinearOperator:
 
     def __call__(self, v):
         return self.kernel @ np.conj(v)
-
-    def inverse(self, v):
-        return np.conj(self.kernel.conj().T @ v)
 
     def squared(self):
         """J^2 as a linear operator (matrix)."""
@@ -188,14 +175,6 @@ def span(matrices, tol=DEFAULT_TOL, against=None, ambient_dim=None):
     prior = against.vecs if against is not None else None
     basis = orthonormalize_rows(stack, tol, against=prior)
     return MatrixSubspace(n, basis)
-
-
-def span_union(a, b, tol=DEFAULT_TOL):
-    """Span of the union of two subspaces of the same ambient space."""
-    if a.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    extra = orthonormalize_rows(b.vecs, tol, against=a.vecs)
-    return MatrixSubspace(a.ambient_dim, np.vstack([a.vecs, extra]))
 
 
 def subspace_equal(s, t, tol=DEFAULT_TOL):

@@ -3,27 +3,22 @@ the alternative Dirac operator, and the graded commutant theorem."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     OperatorAlgebra,
     commutant,
-    commutes_with_all,
+    commutes_with_all,  # unused here; perfbench's tracer test expects it in this module
     generate_star_algebra,
 )
 from .numlin import (
     DEFAULT_TOL,
-    AntilinearOperator,
-    MatrixSubspace,
-    adjoint,
     as_matrix,
-    commutator,
     kron,
     opnorm,
     span,
-    span_union,
     subspace_equal,
     subspace_witness,
 )
@@ -55,26 +50,6 @@ def operator_degree(x, gamma, tol=DEFAULT_TOL):
     if opnorm(even) <= tol * (1 + opnorm(x)):
         return 1
     return None
-
-
-@dataclass
-class GradedOperator:
-    """An operator with its parity relative to a supplied grading."""
-
-    matrix: np.ndarray
-    parity: str  # 'even' | 'odd' | 'mixed'
-    even_part: np.ndarray | None = None
-    odd_part: np.ndarray | None = None
-
-    @classmethod
-    def wrap(cls, x, gamma, tol=DEFAULT_TOL):
-        deg = operator_degree(x, gamma, tol)
-        if deg == 0:
-            return cls(as_matrix(x), "even")
-        if deg == 1:
-            return cls(as_matrix(x), "odd")
-        even, odd = homogeneous_parts(x, gamma)
-        return cls(as_matrix(x), "mixed", even, odd)
 
 
 def graded_product(a, b, gamma1, gamma2, side="left", tol=DEFAULT_TOL):

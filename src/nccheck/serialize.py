@@ -6,6 +6,8 @@ row-major nested arrays of those pairs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 SCHEMA_VERSION = "nccheck/1"
@@ -19,14 +21,19 @@ class DocumentError(ValueError):
         super().__init__(f"{path}: {message}")
 
 
-def complex_to_json(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_to_json(m):
     a = np.asarray(m, dtype=complex)
     return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+
+
+def _finite_number(x):
+    """A JSON number that is a finite float; booleans are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def matrix_from_json(data, path):
@@ -38,12 +45,10 @@ def matrix_from_json(data, path):
         if not isinstance(row, list) or len(row) != out.shape[1]:
             raise DocumentError(f"{path}[{i}]", "ragged matrix rows")
         for j, z in enumerate(row):
-            if (
-                not isinstance(z, list)
-                or len(z) != 2
-                or not all(isinstance(x, (int, float)) for x in z)
-            ):
-                raise DocumentError(f"{path}[{i}][{j}]", "complex scalar must be [re, im]")
+            if not isinstance(z, list) or len(z) != 2 or not all(map(_finite_number, z)):
+                raise DocumentError(
+                    f"{path}[{i}][{j}]", "complex scalar must be [re, im] of finite numbers"
+                )
             out[i, j] = complex(z[0], z[1])
     if out.shape[0] != out.shape[1]:
         raise DocumentError(path, f"matrix must be square, got {out.shape}")
@@ -73,6 +78,7 @@ def triple_from_document(doc, tol=None):
     from .numlin import DEFAULT_TOL
     from .triple import FiniteSpectralTriple, RealStructure
 
+    tol = DEFAULT_TOL if tol is None else tol
     if not isinstance(doc, dict):
         raise DocumentError("$", "document must be a JSON object")
     version = doc.get("schema_version")
@@ -102,12 +108,12 @@ def triple_from_document(doc, tol=None):
         twist = None
         if rs.get("twist") is not None:
             twist = matrix_from_json(rs["twist"], "real_structure.twist")
-        real = RealStructure(kernel, twist, tol or DEFAULT_TOL)
+        real = RealStructure(kernel, twist, tol)
     return FiniteSpectralTriple(
         gens,
         dirac,
         grading=grading,
         real_structure=real,
-        tol=tol or DEFAULT_TOL,
+        tol=tol,
         name=doc.get("metadata", {}).get("name"),
     )

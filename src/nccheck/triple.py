@@ -8,17 +8,13 @@ from functools import reduce
 import numpy as np
 
 from .algebra import (
-    OperatorAlgebra,
-    commutant,
     commutes_with_all,
     generate_star_algebra,
     pairwise_products,
 )
 from .numlin import (
     DEFAULT_TOL,
-    EXACT_TOL,
     AntilinearOperator,
-    MatrixSubspace,
     adjoint,
     as_matrix,
     circ,

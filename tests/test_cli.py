@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -5,8 +7,11 @@ import sys
 
 import pytest
 
+from nccheck.numlin import DEFAULT_TOL
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "golden")
+DATA = os.path.join(ROOT, "tests", "data")
 
 
 def run_cli(*args, env_extra=None):
@@ -37,13 +42,19 @@ def test_check_malformed_json_exit_2(tmp_path):
     assert "parse" in proc.stderr
 
 
-def test_check_schema_error_names_field(tmp_path):
+@pytest.mark.parametrize(
+    "entry",
+    ["oops", [float("nan"), 0.0], [float("inf"), 0.0], [True, False], [10**400, 0]],
+    ids=["oops", "nan", "infinity", "boolean", "huge_integer"],
+)
+def test_check_schema_error_names_field(tmp_path, entry):
+    # json.dumps writes NaN and Infinity, which json.load reads back
     p = tmp_path / "doc.json"
     p.write_text(json.dumps({"schema_version": "nccheck/1", "algebra_generators": [],
-                             "dirac": [[[0.0, 0.0], "oops"]]}))
+                             "dirac": [[[0.0, 0.0], entry]]}))
     proc = run_cli("check", str(p))
     assert proc.returncode == 2
-    assert "dirac" in proc.stderr
+    assert "dirac[0][1]" in proc.stderr
 
 
 def test_check_invariant_violation_exit_3(tmp_path):
@@ -89,13 +100,71 @@ def test_nccheck_tol_env_honored(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def _pinned(name):
+    with open(os.path.join(DATA, name), newline="") as fh:
+        return fh.read()
+
+
 def test_torus_command_json():
     proc = run_cli("torus", "--band", "3", "--json")
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["expected_mismatches"] == []
-    again = run_cli("torus", "--band", "3", "--json")
-    assert again.stdout == proc.stdout  # byte-identical
+    assert proc.stdout == _pinned("torus_band3.json")  # byte-identical
+
+
+def test_torus_command_json_band_4():
+    proc = run_cli("torus", "--band", "4", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == _pinned("torus_band4.json")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+def test_tol_option_must_be_finite_and_nonnegative(capsys, value):
+    from nccheck import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", os.path.join(GOLDEN, "hodge_m2.json"), "--tol", value])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "-1e-3", "abc"])
+def test_nccheck_tol_env_invalid_ignored(monkeypatch, capsys, value):
+    from nccheck import cli
+
+    monkeypatch.setenv("NCCHECK_TOL", value)
+    assert cli._default_tol() == DEFAULT_TOL
+    assert "ignoring invalid NCCHECK_TOL" in capsys.readouterr().err
+
+
+def test_tol_zero_reaches_the_triple(tmp_path):
+    # a 1e-12 self-adjointness defect passes the default tolerance, but
+    # --tol 0 asks for exact self-adjointness and must not fall back to it
+    from nccheck.serialize import triple_from_document
+
+    doc = json.load(open(os.path.join(GOLDEN, "hodge_m2.json")))
+    assert triple_from_document(doc, 0.0).tol == 0.0
+    assert triple_from_document(doc).tol == DEFAULT_TOL
+    doc["dirac"][0][1] = [doc["dirac"][0][1][0] + 1e-12, 0.0]
+    doc["metadata"] = {}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    assert run_cli("check", str(p)).returncode == 0
+    proc = run_cli("check", str(p), "--tol", "0")
+    assert proc.returncode == 3
+    assert "dirac_self_adjoint" in proc.stderr
+
+
+def test_traced_functions_exist():
+    # perfbench's --trace 1 rebinds these by name; a rename breaks it silently
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module, function, _, _ in tracer.PER_LAYER:
+        mod = importlib.import_module(f"nccheck.{module}")
+        assert callable(getattr(mod, function, None)), f"nccheck.{module}.{function}"
 
 
 def test_gct_command():

@@ -7,6 +7,7 @@ from nccheck.torus import (
     TORUS_EXPECTED,
     BandOp,
     TorusVector,
+    commutator_op,
     dirac_op,
     grading_op,
     identity_op,
@@ -159,6 +160,19 @@ def test_j1_second_order_witness_norm_two(suite):
     (ia, la), (jb, lb) = rep.witness.indices
     assert (la, lb) == ("u^1v^0", "u^0v^1")
     assert abs(rep.witness.norm - 2.0) <= 1e-9
+
+
+@pytest.mark.parametrize("band", [3, 4])
+def test_j1_second_order_witness_is_exact(band):
+    # [[D, L_u], J1(-[D, L_{v*}])J1] = 2i L_{sigma3 uv}, a unitary times 2
+    d = dirac_op()
+    j1 = j1_op()
+    u = trig_monomial((1, 0), S0)
+    v_star = trig_adjoint(trig_monomial((0, 1), S0))
+    circ = j1 @ ((-1.0) * commutator_op(d, left_mult(v_star))) @ j1
+    lhs = commutator_op(commutator_op(d, left_mult(u)), circ)
+    rhs = 2j * left_mult(trig_monomial((1, 1), S3))
+    assert operator_identity(lhs, rhs, band).holds
 
 
 def test_sign_values(suite):
