@@ -79,43 +79,32 @@ def pairwise_products(left, right=None):
 def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
     """Smallest *-closed (unital) subalgebra containing the generators.
 
-    Alternates span-closure with adjoint/pairwise-product augmentation until
-    the dimension stabilizes; terminates since the dimension is bounded by
-    n^2 and strictly increases each round.  Empty generators with unital=True
-    give the scalars.
+    It is the span of the words s_1 ... s_k in S = generators and adjoints
+    (and 1 when unital), *-closed as (s_1 ... s_k)^* = s_k^* ... s_1^*.
+    Closed by spinning, the MeatAxe step (R. A. Parker, 1984): from span(S, 1),
+    each round multiplies only the rows accepted in the previous round (the
+    frontier) on the left by an orthonormal basis of span(S), and
+    orthonormalises the products with a residual against the span into the
+    next frontier.  Every word is s_1 times a shorter one, so the span is
+    closed once a frontier is empty, after at most dim(result) * dim span(S)
+    tested products.
     """
     gens = [as_matrix(g) for g in generators]
-    if not gens and not unital:
-        raise ValueError("empty generator list for a non-unital algebra")
-    n = gens[0].shape[0] if gens else None
-    if n is None:
+    if not gens:
         raise ValueError("empty generator list: ambient dimension unknown")
-    seed = list(gens)
-    if unital:
-        seed.append(np.eye(n, dtype=complex))
-    space = span(seed, tol)
+    n = gens[0].shape[0]
+    adjs = [g.conj().T for g in gens]
+    mult = span(gens + adjs, tol).basis_matrices()
+    ones = [np.eye(n, dtype=complex)] if unital else []
+    space = span(gens + ones + adjs, tol)
     if space.dim == 0:
         raise ValueError("span collapsed to zero: tolerance too large for the inputs")
-    while True:
-        basis = space.basis_matrices()
-        # adjoints first, then all pairwise products, then re-span
-        adjs = np.conj(np.transpose(basis, (0, 2, 1))).reshape(basis.shape[0], -1)
-        extra = orthonormalize_rows(adjs, tol, against=space.vecs)
-        if extra.shape[0]:
-            space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
-            basis = space.basis_matrices()
-        # products with a residual against the span, in row order
-        new = np.vstack(
-            [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(basis)]
-        )
-        if new.shape[0] == 0:
-            break
-        extra = orthonormalize_rows(new, tol, against=space.vecs)
-        if extra.shape[0] == 0:
-            break
+    frontier = space.basis_matrices()
+    while frontier.shape[0] and mult.shape[0] and space.dim < n * n:
+        new = [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(mult, frontier)]
+        extra = orthonormalize_rows(np.vstack(new), tol, against=space.vecs)
         space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
-        if space.dim >= n * n:
-            break
+        frontier = extra.reshape(-1, n, n)
     return OperatorAlgebra(space, unital)
 
 
@@ -180,6 +169,9 @@ def commutant(b, tol=DEFAULT_TOL):
     return OperatorAlgebra(MatrixSubspace(n, np.ascontiguousarray(vecs)), True)
 
 
+_SEPARATION_DRAWS = 4  # random central elements commutant_dimension tries
+
+
 def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
     """dim of the commutant of a *-closed unital algebra, without a basis.
 
@@ -212,20 +204,20 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
     center_coeff = evecs[:, null].T
     c = center_coeff.shape[0]
     # generic Hermitian central element separates the isotypic blocks: it is
-    # a distinct scalar on each one, so its eigenspaces are the blocks
+    # a distinct scalar on each one, so its eigenspaces are the blocks; a draw
+    # can miss (probability zero, but not under rounding), so it is redrawn
     rng = np.random.default_rng(rng_seed)
-    w = rng.standard_normal(c) + 1j * rng.standard_normal(c)
-    z = ((w @ center_coeff) @ flat).reshape(n, n)
-    z = z + z.conj().T
-    zvals, zvecs = np.linalg.eigh(z)
-    gap = 1e-6 * max(1.0, float(zvals[-1] - zvals[0]))
-    cuts = [0]
-    for i in range(1, n):
-        if zvals[i] - zvals[i - 1] > gap:
-            cuts.append(i)
-    cuts.append(n)
-    if len(cuts) - 1 != c:
-        raise ValueError("central element failed to separate blocks; retry with new seed")
+    for _ in range(_SEPARATION_DRAWS):
+        w = rng.standard_normal(c) + 1j * rng.standard_normal(c)
+        z = ((w @ center_coeff) @ flat).reshape(n, n)
+        z = z + z.conj().T
+        zvals, zvecs = np.linalg.eigh(z)
+        gap = 1e-6 * max(1.0, float(zvals[-1] - zvals[0]))
+        cuts = [0, *(i for i in range(1, n) if zvals[i] - zvals[i - 1] > gap), n]
+        if len(cuts) - 1 == c:
+            break
+    else:
+        raise ValueError(f"no central element in {_SEPARATION_DRAWS} draws separated the blocks")
     total = 0
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         v = zvecs[:, lo:hi]

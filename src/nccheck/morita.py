@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (
+    _DENSE_COMMUTANT_LIMIT,
     circ_image,
     commutant,
     commutant_dimension,
@@ -75,7 +76,7 @@ def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
                     if best is None or nrm > best[0]:
                         best = (nrm, cm)
             witness, wres = best[1], best[0]
-        elif n * n <= 2100:
+        elif n * n <= _DENSE_COMMUTANT_LIMIT:
             cc = commutant(c, tol)
             found = subspace_witness(cc.subspace, b1.subspace, tol)
             if found is not None:

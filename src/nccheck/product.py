@@ -186,17 +186,11 @@ def verify_gct(pair, tol=DEFAULT_TOL, want_witness=True):
     rhs = graded_algebra(c1, c2, pair.gamma1, pair.gamma2, "right", tol)
     inclusion = lhs.subspace.contains_all(rhs.subspace, tol)
     equal = inclusion and subspace_equal(lhs.subspace, rhs.subspace, tol)
-    witness = None
-    if not equal and want_witness:
-        found = subspace_witness(lhs.subspace, rhs.subspace, tol) or subspace_witness(
-            rhs.subspace, lhs.subspace, tol
-        )
-        if found:
-            witness = Witness(None, found[0], found[1])
     return ConditionReport(
         "graded_commutant_theorem",
         equal,
-        witness,
+        None if equal or not want_witness
+        else _difference_witness(lhs.subspace, rhs.subspace, tol),
         {
             "dim_b1": pair.b1.dim,
             "dim_b2": pair.b2.dim,
@@ -243,6 +237,13 @@ def _lemma_report(name, holds, details, witness=None):
     return ConditionReport(name, holds, witness, details)
 
 
+def _difference_witness(s, t, tol):
+    """An element of s or t with the largest component outside the other;
+    None when the two subspaces are equal within tol."""
+    found = subspace_witness(s, t, tol) or subspace_witness(t, s, tol)
+    return Witness(None, *found) if found else None
+
+
 def one_forms_decomposition_check(t1, t2, product=None, tol=None):
     """Lemma: Omega^1 of the product decomposes as
     Omega^1_1 (x) A2 + gamma1 A1 (x) Omega^1_2; when gamma1 lies in Cl_1 the
@@ -269,11 +270,6 @@ def one_forms_decomposition_check(t1, t2, product=None, tol=None):
         tol,
     )
     cl_prod_equal = subspace_equal(cl.subspace, cl12, tol)
-    witness = None
-    if not ok13:
-        found = subspace_witness(lhs, rhs, tol) or subspace_witness(rhs, lhs, tol)
-        if found:
-            witness = Witness(None, found[0], found[1])
     return _lemma_report(
         "one_forms_decomposition",
         ok13 and (cl_prod_equal or not gamma1_in_cl1),
@@ -285,7 +281,7 @@ def one_forms_decomposition_check(t1, t2, product=None, tol=None):
             "clifford_product_equal": cl_prod_equal,
             "gamma1_commutes_algebra1": bool(t1.grading_commutes_algebra),
         },
-        witness,
+        None if ok13 else _difference_witness(lhs, rhs, tol),
     )
 
 
@@ -298,18 +294,11 @@ def lemma_21b_check(t1, t2, product=None, tol=None):
     cl = clifford(prod)
     right = graded_algebra(clifford(t1), clifford(t2), t1.grading, t2.grading, "left", tol)
     ok = subspace_equal(cl.subspace, right.subspace, tol)
-    witness = None
-    if not ok:
-        found = subspace_witness(cl.subspace, right.subspace, tol) or subspace_witness(
-            right.subspace, cl.subspace, tol
-        )
-        if found:
-            witness = Witness(None, found[0], found[1])
     return _lemma_report(
         "clifford_graded_product",
         ok,
         {"dim_clifford_product": cl.dim, "dim_graded": right.dim},
-        witness,
+        None if ok else _difference_witness(cl.subspace, right.subspace, tol),
     )
 
 
@@ -340,13 +329,6 @@ def lemma_25_check(t1, t2, product=None, tol=None):
     ok = subspace_equal(lhs, rhs.subspace, tol)
     literal = graded_algebra(clifford(t1), clifford(t2), t1.grading, t2.grading, "right", tol)
     literal_ok = subspace_equal(lhs, literal.subspace, tol)
-    witness = None
-    if not ok:
-        found = subspace_witness(lhs, rhs.subspace, tol) or subspace_witness(
-            rhs.subspace, lhs, tol
-        )
-        if found:
-            witness = Witness(None, found[0], found[1])
     return _lemma_report(
         "conjugated_clifford_right_product",
         ok,
@@ -355,7 +337,7 @@ def lemma_25_check(t1, t2, product=None, tol=None):
             "dim_right_graded": rhs.dim,
             "unconjugated_variant_holds": literal_ok,
         },
-        witness,
+        None if ok else _difference_witness(lhs, rhs.subspace, tol),
     )
 
 

@@ -81,6 +81,11 @@ def triple_from_document(doc, tol=None):
     tol = DEFAULT_TOL if tol is None else tol
     if not isinstance(doc, dict):
         raise DocumentError("$", "document must be a JSON object")
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DocumentError("metadata", "expected a JSON object")
+    if not isinstance(metadata.get("expected", {}), dict):
+        raise DocumentError("metadata.expected", "expected a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DocumentError("schema_version", f"expected {SCHEMA_VERSION!r}, got {version!r}")
@@ -93,7 +98,9 @@ def triple_from_document(doc, tol=None):
         matrix_from_json(g, f"algebra_generators[{i}]") for i, g in enumerate(gens_data)
     ]
     dirac = matrix_from_json(doc["dirac"], "dirac")
-    n = int(doc.get("hilbert_dim", dirac.shape[0]))
+    n = doc.get("hilbert_dim", dirac.shape[0])
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DocumentError("hilbert_dim", f"expected an integer, got {n!r}")
     if dirac.shape[0] != n:
         raise DocumentError("hilbert_dim", f"dirac is {dirac.shape[0]}x{dirac.shape[0]}, declared {n}")
     grading = None
@@ -115,5 +122,5 @@ def triple_from_document(doc, tol=None):
         grading=grading,
         real_structure=real,
         tol=tol,
-        name=doc.get("metadata", {}).get("name"),
+        name=metadata.get("name"),
     )

@@ -26,6 +26,9 @@ from .triple import ConditionReport, Witness, ko_dimensions
 S0, S1, S2, S3 = PAULI
 
 MIN_BAND = 3
+# op_matrix's identity stack grows as N^4 (band 7: 36 s, 300 MB), and the
+# suite's verdicts do not depend on the band
+MAX_BAND = 8
 
 # fibre maps c -> A c B as 4x4 matrices kron(A, B^T) on row-major fibres
 _SIGMA1_CONJ = np.kron(S1, S1.T)  # c -> sigma1 c sigma1
@@ -611,10 +614,13 @@ for _tag in ("diag", "antidiag", "offband"):
 
 
 def run_torus_suite(band, tol=1e-9, unitaries=None):
-    """Execute every torus check at the given band; band >= 3 required
-    (the orientation cycle needs two mode shifts of headroom)."""
+    """Execute every torus check at the given band; MIN_BAND <= band <= MAX_BAND
+    (the orientation cycle needs two mode shifts of headroom, and the dense
+    evaluation grows as band^4)."""
     if band < MIN_BAND:
         raise ValueError(f"band must be >= {MIN_BAND} (orientation cycle headroom)")
+    if band > MAX_BAND:
+        raise ValueError(f"band must be <= {MAX_BAND} (dense evaluation grows as band^4)")
     reports = []
     d = dirac_op()
     gam = grading_op()

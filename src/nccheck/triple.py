@@ -226,20 +226,31 @@ def one_forms(t):
     return t._derived["one_forms"]
 
 
+def _leibniz_generators(t):
+    """The generators g of A and the commutators [D, g]."""
+    return t.algebra_generators + [commutator(t.dirac, g) for g in t.algebra_generators]
+
+
 def clifford(t):
-    """Cl_D(A): the *-algebra generated by A and the one-forms."""
+    """Cl_D(A): the *-algebra generated by A and the one-forms.
+
+    Closed over g and [D, g] alone: by the Leibniz rule [D, g_1 g_2] =
+    [D, g_1] g_2 + g_1 [D, g_2], a one-form a[D, b] expands into words in g
+    and [D, g], which spinning reaches (``generate_star_algebra``), and
+    [D, g] = 1 [D, g] is itself a one-form.
+    """
     if "clifford" not in t._derived:
-        gens = list(t.algebra_basis()) + list(one_forms(t).basis_matrices())
-        t._derived["clifford"] = generate_star_algebra(gens, True, t.tol)
+        t._derived["clifford"] = generate_star_algebra(_leibniz_generators(t), True, t.tol)
     return t._derived["clifford"]
 
 
 def clifford_gamma(t):
-    """Cl^gamma_D(A): generated by Cl_D(A) and the grading."""
+    """Cl^gamma_D(A): generated by Cl_D(A) and the grading, so, as in
+    ``clifford``, closed over g, [D, g] and gamma."""
     if t.grading is None:
         raise TripleValidationError("grading_required", "clifford_gamma needs a grading")
     if "clifford_gamma" not in t._derived:
-        gens = list(clifford(t).basis_matrices()) + [t.grading]
+        gens = _leibniz_generators(t) + [t.grading]
         t._derived["clifford_gamma"] = generate_star_algebra(gens, True, t.tol)
     return t._derived["clifford_gamma"]
 

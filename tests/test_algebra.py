@@ -14,6 +14,7 @@ from nccheck.catalog import TRANSPOSE_PERM
 from nccheck.numlin import (
     PAULI,
     AntilinearOperator,
+    MatrixSubspace,
     left_mult_matrix,
     right_mult_matrix,
     span,
@@ -116,6 +117,103 @@ def test_pairwise_products_match_naive(monkeypatch):
         assert np.allclose(np.vstack(blocks), want, atol=1e-12)
     square = np.vstack(list(pairwise_products(left)))
     assert np.allclose(square, [(a @ b).reshape(-1) for a in left for b in left], atol=1e-12)
+
+
+def _all_pairs_closure(generators, unital, tol=1e-9):
+    """Reference closure: adjoints and all pairwise basis products, every round."""
+    n = generators[0].shape[0]
+    space = span(list(generators) + ([np.eye(n)] if unital else []), tol)
+    while True:
+        basis = list(space.basis_matrices())
+        cand = [b.conj().T for b in basis] + [a @ b for a in basis for b in basis]
+        grown = span(cand, tol, against=space)
+        if grown.dim == 0:
+            return space
+        space = MatrixSubspace(n, np.vstack([space.vecs, grown.vecs]))
+
+
+# (d, m) blocks of sum M_d (x) 1_m on sum C^d (x) C^m, at most 6 dimensions
+_BLOCK_LAYOUTS = (
+    [(2, 1), (1, 2)],
+    [(2, 2)],
+    [(1, 1), (1, 1), (1, 1)],
+    [(2, 1), (1, 1)],
+    [(3, 1), (1, 2)],
+    [(2, 1), (2, 1)],
+    [(1, 3), (2, 1)],
+    [(2, 3)],
+)
+
+
+def _random_block_generators(rng, unital):
+    """1-3 generators of a proper *-subalgebra of M_n in a random unitary
+    basis, plus one that is zero or redundant; without a unit, a block on
+    which every generator vanishes when there is room for one."""
+    layout = _BLOCK_LAYOUTS[rng.integers(len(_BLOCK_LAYOUTS))]
+    n_alg = sum(d * m for d, m in layout)
+    n = n_alg + (0 if unital or n_alg == 6 else 1)
+    u, _ = np.linalg.qr(rand_mat(rng, n))
+    gens = []
+    for _ in range(int(rng.integers(1, 4))):
+        g = np.zeros((n, n), dtype=complex)
+        at = 0
+        for d, m in layout:
+            g[at : at + d * m, at : at + d * m] = np.kron(rand_mat(rng, d), np.eye(m))
+            at += d * m
+        gens.append(u @ g @ u.conj().T)
+    kind = rng.integers(3)
+    if kind == 0:
+        gens.append(np.zeros((n, n), dtype=complex))
+    elif kind == 1:
+        gens.append(gens[0] @ gens[-1] + 2 * gens[0])
+    else:
+        gens.append(gens[-1].conj().T)
+    return gens
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "non_unital"])
+def test_spinning_matches_all_pairs_closure_within_work_bound(monkeypatch, unital):
+    real = algebra.residual_norms
+    rows = []
+
+    def counted(vecs, basis):
+        rows.append(len(vecs))
+        return real(vecs, basis)
+
+    monkeypatch.setattr(algebra, "residual_norms", counted)
+    rng = np.random.default_rng(11 if unital else 12)
+    for _ in range(25):
+        gens = _random_block_generators(rng, unital)
+        rows.clear()
+        alg = generate_star_algebra(gens, unital)
+        tested = sum(rows)
+        want = _all_pairs_closure(gens, unital)
+        assert alg.dim == want.dim and subspace_equal(alg.subspace, want)
+        assert alg.closure_defect() <= 1e-9
+        # spinning tests each accepted row once against each multiplier
+        multipliers = span(gens + [g.conj().T for g in gens]).dim
+        assert tested <= alg.dim * multipliers
+
+
+def test_commutant_dimension_redraws_a_degenerate_central_element(monkeypatch):
+    # diag(1, 2, 3) (x) 1_2 generates C^3 (x) 1_2: a 3-dim center, commutant
+    # sum m_i^2 = 12; a zero first draw gives z = 0, which separates nothing
+    alg = generate_star_algebra([np.kron(np.diag([1.0, 2.0, 3.0]), np.eye(2))])
+    real = np.random.default_rng
+    draws = []
+
+    class FirstDrawZero:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            out = self.rng.standard_normal(size)
+            return 0 * out if len(draws) <= 2 else out  # real and imaginary parts
+
+    monkeypatch.setattr(np.random, "default_rng", FirstDrawZero)
+    assert commutant_dimension(alg) == 12
+    assert len(draws) == 4
 
 
 def test_left_mult_algebra_commutant_is_right_mult():

@@ -42,19 +42,34 @@ def test_check_malformed_json_exit_2(tmp_path):
     assert "parse" in proc.stderr
 
 
+_BAD_ENTRIES = ["oops", [float("nan"), 0.0], [float("inf"), 0.0], [True, False], [10**400, 0]]
+
+
 @pytest.mark.parametrize(
-    "entry",
-    ["oops", [float("nan"), 0.0], [float("inf"), 0.0], [True, False], [10**400, 0]],
-    ids=["oops", "nan", "infinity", "boolean", "huge_integer"],
+    "field, value, path",
+    [("dirac[0][1]", entry, "dirac[0][1]") for entry in _BAD_ENTRIES]
+    + [("hilbert_dim", [4], "hilbert_dim"), ("metadata", [1], "metadata"),
+       ("hilbert_dim", "four", "hilbert_dim"),
+       ("metadata", {"expected": [1]}, "metadata.expected")],
+    ids=["oops", "nan", "infinity", "boolean", "huge_integer",
+         "hilbert_dim_list", "metadata_list", "hilbert_dim_string", "expected_list"],
 )
-def test_check_schema_error_names_field(tmp_path, entry):
-    # json.dumps writes NaN and Infinity, which json.load reads back
+def test_check_schema_error_names_field(tmp_path, field, value, path):
+    # a bad matrix entry goes into a bare 1x2 document, a bad top-level field
+    # into the Hodge golden file; json.dumps writes NaN and Infinity, which
+    # json.load reads back
+    if field == "dirac[0][1]":
+        doc = {"schema_version": "nccheck/1", "algebra_generators": [],
+               "dirac": [[[0.0, 0.0], value]]}
+    else:
+        doc = json.load(open(os.path.join(GOLDEN, "hodge_m2.json")))
+        doc[field] = value
     p = tmp_path / "doc.json"
-    p.write_text(json.dumps({"schema_version": "nccheck/1", "algebra_generators": [],
-                             "dirac": [[[0.0, 0.0], entry]]}))
+    p.write_text(json.dumps(doc))
     proc = run_cli("check", str(p))
     assert proc.returncode == 2
-    assert "dirac[0][1]" in proc.stderr
+    assert path in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_invariant_violation_exit_3(tmp_path):
@@ -117,6 +132,66 @@ def test_torus_command_json_band_4():
     proc = run_cli("torus", "--band", "4", "--json")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == _pinned("torus_band4.json")
+
+
+def test_torus_band_above_max_exits_2_before_building(monkeypatch, capsys):
+    from nccheck import cli, torus
+
+    def never(*args, **kwargs):
+        raise AssertionError("an operator was built")
+
+    monkeypatch.setattr(torus, "dirac_op", never)
+    monkeypatch.setattr(torus, "op_matrix", never)
+    assert cli.main(["torus", "--band", "1000"]) == 2
+    assert f"band must be <= {torus.MAX_BAND}" in capsys.readouterr().err
+
+
+# pinned `product --json` outputs: (first, second, j-mode) -> tests/data file
+_PINNED_PRODUCTS = {
+    "product_evenspin2_koszul.json": ("evenspin_pair_1.json", "evenspin_pair_2.json", "koszul"),
+    "product_evenspin2_plain.json": ("evenspin_pair_1.json", "evenspin_pair_2.json", "plain"),
+    "product_mixed_koszul.json": ("mixed_1.json", "mixed_2.json", "koszul"),
+    "product_hodge_m2_sq_koszul.json": ("hodge_m2.json", "hodge_m2.json", "koszul"),
+}
+
+
+def _product_json(capsys, name):
+    from nccheck import cli
+
+    first, second, mode = _PINNED_PRODUCTS[name]
+    argv = ["product", os.path.join(GOLDEN, first), os.path.join(GOLDEN, second)]
+    assert cli.main([*argv, "--j-mode", mode, "--json"]) == 0
+    return capsys.readouterr().out
+
+
+def _assert_same_up_to_rounding(got, want, path="$"):
+    """Equal structure and non-float values; floats within relative 1e-12."""
+    if isinstance(want, float) and isinstance(got, float):
+        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), (path, got, want)
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), path
+        for key in want:
+            _assert_same_up_to_rounding(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_up_to_rounding(g, w, f"{path}[{i}]")
+    else:
+        assert type(got) is type(want) and got == want, (path, got, want)
+
+
+def test_product_command_json_evenspin2_koszul_pinned(capsys):
+    name = "product_evenspin2_koszul.json"
+    assert _product_json(capsys, name) == _pinned(name)  # byte-identical
+
+
+@pytest.mark.parametrize(
+    "name", ["product_evenspin2_plain.json", "product_mixed_koszul.json",
+             "product_hodge_m2_sq_koszul.json"]
+)
+def test_product_command_json_matches_pinned(capsys, name):
+    got = json.loads(_product_json(capsys, name))
+    _assert_same_up_to_rounding(got, json.loads(_pinned(name)))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])

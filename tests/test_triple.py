@@ -1,8 +1,14 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
+from nccheck.algebra import generate_star_algebra
 from nccheck.catalog import example_evenspin, example_hodge_m2, random_triple
-from nccheck.numlin import PAULI, AntilinearOperator, opnorm
+from nccheck.numlin import PAULI, AntilinearOperator, opnorm, subspace_equal
+from nccheck.product import product_triple
+from nccheck.serialize import triple_from_document
 from nccheck.triple import (
     FiniteSpectralTriple,
     RealStructure,
@@ -196,3 +202,38 @@ def test_random_triple_reproducible():
     sa = json.dumps(triple_to_document(a), sort_keys=True)
     sb = json.dumps(triple_to_document(b), sort_keys=True)
     assert sa == sb
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden")
+GOLDEN_KOSZUL_PAIRS = (
+    ("evenspin_pair_1.json", "evenspin_pair_2.json"),
+    ("mixed_1.json", "mixed_2.json"),
+    ("hodge_m2.json", "hodge_m2.json"),
+)
+
+
+def _golden_triple(name):
+    """A golden file, or the Koszul product of a golden pair named 'a x b'."""
+    if " x " in name:
+        first, second = (_golden_triple(part) for part in name.split(" x "))
+        return product_triple(first, second, "koszul")
+    with open(os.path.join(GOLDEN, name)) as fh:
+        return triple_from_document(json.load(fh))
+
+
+@pytest.mark.parametrize(
+    "name", sorted(os.listdir(GOLDEN)) + [f"{a} x {b}" for a, b in GOLDEN_KOSZUL_PAIRS]
+)
+def test_clifford_from_generators_matches_basis_family(name):
+    # Leibniz: closing over g and [D, g] gives the algebra of A and Omega^1,
+    # and adding gamma to those gives the algebra of Cl_D(A) and gamma
+    t = _golden_triple(name)
+    cl = clifford(t)
+    family = list(t.algebra_basis()) + list(one_forms(t).basis_matrices())
+    ref = generate_star_algebra(family, True, t.tol)
+    assert cl.dim == ref.dim and subspace_equal(cl.subspace, ref.subspace)
+    assert cl.closure_defect() <= t.tol
+    clg = clifford_gamma(t)
+    ref = generate_star_algebra(list(cl.basis_matrices()) + [t.grading], True, t.tol)
+    assert clg.dim == ref.dim and subspace_equal(clg.subspace, ref.subspace)
+    assert clg.closure_defect() <= t.tol
