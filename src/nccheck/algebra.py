@@ -103,6 +103,7 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
     while frontier.shape[0] and mult.shape[0] and space.dim < n * n:
         new = [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(mult, frontier)]
         extra = orthonormalize_rows(np.vstack(new), tol, against=space.vecs)
+        del new  # free the candidate rows before the grown basis is allocated
         space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
         frontier = extra.reshape(-1, n, n)
     return OperatorAlgebra(space, unital)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import orthonormalize_rows, residual_norms
 from .algebra import (
     OperatorAlgebra,
     commutant,
@@ -15,6 +16,7 @@ from .algebra import (
 )
 from .numlin import (
     DEFAULT_TOL,
+    MatrixSubspace,
     as_matrix,
     kron,
     opnorm,
@@ -36,8 +38,11 @@ from .triple import (
 
 
 def homogeneous_parts(x, gamma):
-    """Even/odd parts (X +- gamma X gamma)/2 relative to a grading."""
-    x = as_matrix(x)
+    """Even/odd parts (X +- gamma X gamma)/2 relative to a grading.
+
+    ``x`` is one matrix (validated) or a stack of matrices, split one by one.
+    """
+    x = as_matrix(x) if np.ndim(x) == 2 else x
     conj = gamma @ x @ gamma
     return (x + conj) / 2, (x - conj) / 2
 
@@ -81,22 +86,49 @@ class GradedAlgebraPair:
 
     def __post_init__(self):
         for tag, alg, g in (("b1", self.b1, self.gamma1), ("b2", self.b2, self.gamma2)):
-            sub = alg.subspace
-            for x in alg.basis_matrices():
-                if not sub.contains(g @ x @ g, 1e-7):
-                    raise ValueError(f"{tag} is not invariant under its grading")
+            conj = (g @ alg.basis_matrices() @ g).reshape(alg.dim, -1)
+            if not np.all(residual_norms(conj, alg.subspace.vecs) <= 1e-7):
+                raise ValueError(f"{tag} is not invariant under its grading")
+
+
+def _kron_stack(a, b):
+    """Kronecker products a[i] (x) b[j] of two stacks of square matrices,
+    in row order i * len(b) + j; one broadcast multiply forms every entry
+    a[i, p, r] b[j, q, s] exactly as np.kron does for one pair."""
+    k1, n1, _ = a.shape
+    k2, n2, _ = b.shape
+    out = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return out.reshape(k1 * k2, n1 * n2, n1 * n2)
 
 
 def graded_algebra(b1, b2, gamma1, gamma2, side="left", tol=DEFAULT_TOL):
-    """Span of graded products of homogeneous basis parts; an algebra when
-    the factors are grading-invariant (closure asserted by callers/tests)."""
-    mats = []
-    for x in b1.basis_matrices():
-        for y in b2.basis_matrices():
-            mats.append(graded_product(x, y, gamma1, gamma2, side, tol))
-    sub = span(mats, tol)
-    unital = b1.unital and b2.unital
-    return OperatorAlgebra(sub, unital)
+    """Span of the graded products x . y (``left``) or x .' y (``right``) of
+    the basis elements x of b1 and y of b2; an algebra when the factors are
+    grading-invariant (closure asserted by callers/tests).
+
+    The products are the rows of one stack, in row order i * dim b2 + j for
+    x_i and y_j, each equal to ``graded_product(x_i, y_j, ...)``.  The factor
+    whose degree enters the sign rule (b2 for left, b1 for right) is split
+    into homogeneous parts once, every Kronecker product is formed by one
+    broadcast, and the stack is orthonormalised in one call.
+    """
+    xs = b1.basis_matrices()
+    ys = b2.basis_matrices()
+    if side == "left":
+        y_even, y_odd = homogeneous_parts(ys, gamma2)
+        stack = _kron_stack(xs, y_even)
+        stack += _kron_stack(xs @ gamma1, y_odd)
+    elif side == "right":
+        x_even, x_odd = homogeneous_parts(xs, gamma1)
+        stack = _kron_stack(x_even, ys)
+        stack += _kron_stack(x_odd, ys @ gamma2)
+    else:
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has non-finite entries")
+    n = stack.shape[1]
+    basis = orthonormalize_rows(stack.reshape(len(stack), n * n), tol)
+    return OperatorAlgebra(MatrixSubspace(n, basis), b1.unital and b2.unital)
 
 
 def koszul_kernel(k1, k2, gamma1, gamma2):
@@ -176,8 +208,11 @@ def alt_dirac(t1, t2):
 def verify_gct(pair, tol=DEFAULT_TOL, want_witness=True):
     """Graded commutant theorem: (B1 . B2)' = B1' .' B2'.
 
-    Both sides are computed by brute force and compared as subspaces; the
-    easy inclusion B1' .' B2' in (B1 . B2)' is also reported separately.
+    Each side is one stacked graded-product build (``graded_algebra``)
+    followed by a commutant: the commutant of B1 . B2 on the left, the right
+    graded product of the factor commutants on the right.  The two are
+    compared as subspaces; the easy inclusion B1' .' B2' in (B1 . B2)' is
+    also reported separately.
     """
     left_alg = graded_algebra(pair.b1, pair.b2, pair.gamma1, pair.gamma2, "left", tol)
     lhs = commutant(left_alg, tol)
@@ -259,16 +294,12 @@ def one_forms_decomposition_check(t1, t2, product=None, tol=None):
     a2 = t2.algebra_basis()
     om1 = one_forms(t1).basis_matrices()
     om2 = one_forms(t2).basis_matrices()
-    mats = [kron(w, b) for w in om1 for b in a2]
-    mats += [kron(t1.grading @ a, w) for a in a1 for w in om2]
+    mats = np.concatenate([_kron_stack(om1, a2), _kron_stack(t1.grading @ a1, om2)])
     rhs = span(mats, tol, ambient_dim=prod.hilbert_dim)
     ok13 = subspace_equal(lhs, rhs, tol)
     gamma1_in_cl1 = clifford(t1).subspace.contains(t1.grading, tol)
     cl = clifford(prod)
-    cl12 = span(
-        [kron(x, y) for x in clifford(t1).basis_matrices() for y in clifford(t2).basis_matrices()],
-        tol,
-    )
+    cl12 = span(_kron_stack(clifford(t1).basis_matrices(), clifford(t2).basis_matrices()), tol)
     cl_prod_equal = subspace_equal(cl.subspace, cl12, tol)
     return _lemma_report(
         "one_forms_decomposition",

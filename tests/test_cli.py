@@ -134,6 +134,14 @@ def test_torus_command_json_band_4():
     assert proc.stdout == _pinned("torus_band4.json")
 
 
+def test_gct_command_json():
+    # dimensions and booleans only, so the bytes hold under any BLAS thread count
+    proc = run_cli("gct", "--trials", "100", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["failures"] == 0
+    assert proc.stdout == _pinned("gct_trials100.json")  # byte-identical
+
+
 def test_torus_band_above_max_exits_2_before_building(monkeypatch, capsys):
     from nccheck import cli, torus
 

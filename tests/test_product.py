@@ -1,9 +1,18 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from nccheck.algebra import circ_image, commutant_dimension, commutes_with_all, generate_star_algebra
+from nccheck.algebra import (
+    OperatorAlgebra,
+    circ_image,
+    commutant_dimension,
+    commutes_with_all,
+    generate_star_algebra,
+)
 from nccheck.catalog import example_evenspin, example_hodge_m2, evenspin_omega
-from nccheck.numlin import PAULI, circ, kron, opnorm, span, subspace_equal
+from nccheck.numlin import PAULI, MatrixSubspace, circ, kron, opnorm, span, subspace_equal
 from nccheck.product import (
     GradedAlgebraPair,
     alt_dirac,
@@ -21,6 +30,7 @@ from nccheck.product import (
     random_graded_pair,
     verify_gct,
 )
+from nccheck.serialize import triple_from_document
 from nccheck.triple import (
     FiniteSpectralTriple,
     TripleValidationError,
@@ -30,6 +40,7 @@ from nccheck.triple import (
 )
 
 S0, S1, S2, S3 = PAULI
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden")
 
 
 def rand_mat(rng, n):
@@ -102,6 +113,68 @@ def test_graded_algebra_full_factors():
     for side in ("left", "right"):
         g = graded_algebra(b1, b2, S3, S3, side)
         assert g.dim == 16  # full matrix algebra on the tensor space
+
+
+def _graded_factor(rng, n, parities):
+    """A grading in general position with both signs, and the algebra of one
+    random generator of each given parity (0 even, 1 odd)."""
+    signs = np.where(np.arange(n) < n // 2, 1.0, -1.0)
+    q, _ = np.linalg.qr(rand_mat(rng, n))
+    gamma = q @ np.diag(signs) @ q.conj().T
+    gamma = (gamma + gamma.conj().T) / 2
+    gens = [homogeneous_parts(rand_mat(rng, n), gamma)[p] for p in parities]
+    return generate_star_algebra(gens), gamma
+
+
+def _golden_clifford_pair():
+    ts = []
+    for name in ("mixed_1.json", "mixed_2.json"):
+        with open(os.path.join(GOLDEN, name)) as fh:
+            ts.append(triple_from_document(json.load(fh)))
+    return GradedAlgebraPair(clifford(ts[0]), clifford(ts[1]), ts[0].grading, ts[1].grading)
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [((2, (0,)), (3, (1,))), ((4, (1, 1)), (2, (0, 0))), ((3, (0, 1)), (4, (1, 0, 1))),
+     ((2, (1,)), (2, (0, 1))), (None, None)],
+    ids=["even_x_odd", "odd_x_even", "mixed_x_mixed", "odd_x_mixed", "golden_clifford"],
+)
+def test_graded_algebra_stack_matches_graded_product(first, second):
+    # the one-broadcast stack is the per-pair definition, bit for bit
+    if first is None:
+        pair = _golden_clifford_pair()
+    else:
+        rng = np.random.default_rng([8, *first[1], *second[1]])
+        b1, g1 = _graded_factor(rng, *first)
+        b2, g2 = _graded_factor(rng, *second)
+        pair = GradedAlgebraPair(b1, b2, g1, g2)  # checks grading invariance
+    for side in ("left", "right"):
+        got = graded_algebra(pair.b1, pair.b2, pair.gamma1, pair.gamma2, side)
+        want = span(
+            [graded_product(x, y, pair.gamma1, pair.gamma2, side)
+             for x in pair.b1.basis_matrices() for y in pair.b2.basis_matrices()]
+        )
+        assert np.array_equal(got.subspace.vecs, want.vecs), side
+
+
+def test_graded_algebra_rejects_non_finite_factor():
+    vecs = np.eye(4, dtype=complex)
+    vecs[1, 2] = np.nan
+    bad = OperatorAlgebra(MatrixSubspace(2, vecs), True)
+    good = generate_star_algebra([S1, S2])
+    for b1, b2 in ((bad, good), (good, bad)):
+        for side in ("left", "right"):
+            with pytest.raises(ValueError):
+                graded_algebra(b1, b2, S3, S3, side)
+
+
+def test_graded_algebra_pair_rejects_non_invariant_factor():
+    # sigma1 is odd for sigma3, so the algebra of 1 and sigma3 + sigma1 is not
+    # invariant under conjugation by sigma3
+    alg = generate_star_algebra([S3 + S1])
+    with pytest.raises(ValueError, match="b2 is not invariant under its grading"):
+        GradedAlgebraPair(generate_star_algebra([S3]), alg, S3, S3)
 
 
 def test_product_triple_requires_even_first_factor():
