@@ -11,9 +11,15 @@ Every operator is a ``BandOp``: a callback on batched coefficient arrays,
 built from a few primitives (multiplications, D, gamma, the reality
 operators) by composition and sums.  A primitive shifts modes and acts on
 each 2x2 fibre c by a map c -> A c B, which on the row-major (..., 4) view
-of the coefficients is one GEMM with the 4x4 matrix kron(A, B^T).  Identities,
-signs, adjoints and the order conditions are all decided on ``op_matrix``,
-the one dense evaluation: an operator applied to the identity stack of H_N.
+of the coefficients is one GEMM with the 4x4 matrix kron(A, B^T).  An
+operator of degree d and mode orientation s (-1 if it is antilinear, since
+complex conjugation sends mode k to -k, else +1) maps the basis vector
+e_{k,f} into the modes s*k + [-d, d]^2.  Operators are therefore evaluated on
+colour-class probes, one per (k mod (2d+1), f), and each basis column is read
+from its own window of a probe's image (column colouring, Curtis-Powell-Reid
+1974).  An identity whose difference vanishes on every window holds there;
+``op_matrix``, the one dense evaluation, scatters the windows into the matrix
+on the basis of H_N for the signs, the adjoints and every other difference.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ from .triple import ConditionReport, Witness, ko_dimensions
 S0, S1, S2, S3 = PAULI
 
 MIN_BAND = 3
-# op_matrix's identity stack grows as N^4 (band 7: 36 s, 300 MB), and the
-# suite's verdicts do not depend on the band
+# the dense matrices of the sign and adjoint checks grow as N^4 (band 8:
+# 11 s and 285 MB on a 2-core machine with one BLAS thread), and the suite's
+# verdicts do not depend on the band
 MAX_BAND = 8
 
 # fibre maps c -> A c B as 4x4 matrices kron(A, B^T) on row-major fibres
@@ -125,6 +132,7 @@ class BandOp:
 
     ``fn(arr, band)`` acts on batched coefficient arrays of shape
     (..., 2*band+1, 2*band+1, 2, 2) and returns the array at band + degree.
+    The image of mode k lies in the modes flip*k + [-degree, degree]^2.
     Composition degrees add; sums take the max degree.
     """
 
@@ -133,6 +141,12 @@ class BandOp:
         self.fn = fn
         self.antilinear = bool(antilinear)
         self.label = label
+
+    @property
+    def flip(self):
+        """Mode orientation: -1 for an antilinear operator, whose complex
+        conjugation sends mode k to -k, else +1."""
+        return -1 if self.antilinear else 1
 
     def apply(self, arr, band):
         return self.fn(arr, band), band + self.degree
@@ -309,33 +323,80 @@ def tau_u_op(u, tol=1e-9):
 
 
 # -- exact identity testing ------------------------------------------------
+#
+# Basis vectors whose modes agree mod c = 2d+1 have disjoint images under an
+# operator of degree d, so one probe per colour class (k mod c, f) carries all
+# their columns.  Each window entry has one nonzero contribution, from the
+# same arithmetic as on e_{k,f} alone: the columns are bitwise those of the
+# identity stack.
+
+_PROBE_CACHE = {}
 
 
-_BASIS_CACHE = {}
+def _probes(band, colours):
+    """Probe stack (colours^2 * 4, w, w, 2, 2): probe (p, q, f) is the sum of
+    the basis vectors at coefficient index (a, b) = (p, q) mod colours and
+    fibre f."""
+    key = (band, colours)
+    if key not in _PROBE_CACHE:
+        w = _width(band)
+        a, b, f = np.arange(w)[:, None, None], np.arange(w)[:, None], np.arange(4)
+        probes = np.zeros((colours, colours, 4, w, w, 4), dtype=complex)
+        probes[a % colours, b % colours, f, a, b, f] = 1.0
+        _PROBE_CACHE[key] = probes.reshape(colours * colours * 4, w, w, 2, 2)
+    return _PROBE_CACHE[key]
 
 
-def _basis_stack(band):
-    hit = _BASIS_CACHE.get(band)
-    if hit is not None:
-        return hit
+def _window_index(cols, band, degree, flip, offset=0):
+    """Fancy index (w, w, 4, 2d+1, 2d+1) of the windows: entry [a, b, f, i, j]
+    addresses column (cols[a], cols[b], f) at the coefficient rows
+    (rows[a, i], rows[b, j]) of band + degree + offset, where the image of
+    index a starts at flip * (a - band) + band + offset."""
+    a = np.arange(_width(band))
+    start = (a if flip != -1 else a[::-1]) + offset
+    rows = start[:, None] + np.arange(2 * degree + 1)
+    return (cols[:, None, None, None, None], cols[None, :, None, None, None],
+            np.arange(4)[:, None, None], rows[:, None, None, :, None], rows[None, :, None, None, :])
+
+
+def _probe_windows(ops, band, degree, flip):
+    """Windows (w, w, 4, 2d+1, 2d+1, 4) of each operator's matrix at
+    d = degree (at least each operator's own): entry [a, b, f, i, j, g] is the
+    coefficient (i, j, g) of the window of column (a, b, f)."""
     w = _width(band)
-    dim = w * w * 4
-    out = np.eye(dim, dtype=complex).reshape(dim, w, w, 2, 2), dim
-    _BASIS_CACHE[band] = out
+    colours = min(w, 2 * degree + 1)
+    probes = _probes(band, colours)
+    index = _window_index(np.arange(w) % colours, band, degree, flip)
+    wo = _width(band + degree)
+    out = []
+    for op in ops:
+        img, lb = op.apply(probes, band)
+        img = _pad_batch(img, lb, band + degree).reshape(colours, colours, 4, wo, wo, 4)
+        out.append(img[index])
     return out
+
+
+def _scatter(windows, band, degree, flip, out_band):
+    """The dense matrix whose columns hold ``windows`` (from ``_probe_windows``),
+    laid out at ``out_band``, and zeros elsewhere."""
+    w, wo = _width(band), _width(out_band)
+    dense = np.zeros((w, w, 4, wo, wo, 4), dtype=complex)
+    dense[_window_index(np.arange(w), band, degree, flip, out_band - band - degree)] = windows
+    return dense.reshape(w * w * 4, -1).T
 
 
 def op_matrix(op, band, out_band=None):
     """Matrix of a band operator on H_band: column k is the image of the k-th
-    basis vector, laid out at ``out_band`` (default: band + degree).
+    basis vector, laid out at ``out_band`` (default: band + degree).  It is
+    read off the operator's images of the colour-class probes, not of every
+    basis vector, and equals the identity-stack evaluation bitwise.
 
     For an antilinear operator the returned matrix M represents
     v -> M conj(v); compose such matrices only with linear ones in mind.
     """
-    stack, dim = _basis_stack(band)
-    out, lb = op.apply(stack, band)
-    out = _pad_batch(out, lb, lb if out_band is None else out_band)
-    return out.reshape(dim, -1).T
+    out_band = band + op.degree if out_band is None else out_band
+    (windows,) = _probe_windows([op], band, op.degree, op.flip)
+    return _scatter(windows, band, op.degree, op.flip, out_band)
 
 
 def _both_sides(lhs, rhs, band):
@@ -351,13 +412,16 @@ def _difference_report(name, diff, band, tol):
 
     The witness carries the worst basis mode and the operator 2-norm of the
     difference (exact: uniform mode weights make the coefficient matrix the
-    operator matrix in an orthonormal basis).
+    operator matrix in an orthonormal basis), taken from the largest
+    eigenvalue of diff^H diff: unlike the SVD, it gave the same bits with 1
+    and 2 OpenBLAS threads for the witnesses at bands 3 and 4 (2-core
+    machine; other thread counts not checked).
     """
     worst = np.linalg.norm(diff, axis=0)
     idx = int(np.argmax(worst))
     if worst[idx] <= tol:
         return ConditionReport(name, True, None, {"band": band, "max_basis_residual": float(worst[idx])})
-    opn = float(np.linalg.norm(diff, 2))
+    opn = float(np.sqrt(np.linalg.eigvalsh(diff.conj().T @ diff)[-1]))
     w = _width(band)
     mode_flat = idx // 4
     mode = (mode_flat // w - band, mode_flat % w - band)
@@ -371,9 +435,20 @@ def _difference_report(name, diff, band, tol):
 
 def operator_identity(lhs, rhs, band, tol=1e-9, name="identity"):
     """Compare two band operators on the full basis of H_band, with outputs
-    in the common grown band."""
-    la, ra = _both_sides(lhs, rhs, band)
-    return _difference_report(name, la - ra, band, tol)
+    in the common grown band.
+
+    Both sides act on the probes of their common degree.  A difference that
+    vanishes on every window holds with residual 0; any other is scattered
+    into its dense matrix, so its report is exactly the dense route's.
+    """
+    if lhs.antilinear != rhs.antilinear:
+        raise ValueError("cannot compare operators of different linearity type")
+    degree = max(lhs.degree, rhs.degree)
+    la, ra = _probe_windows([lhs, rhs], band, degree, lhs.flip)
+    diff = la - ra
+    if not diff.any():
+        return ConditionReport(name, True, None, {"band": band, "max_basis_residual": 0.0})
+    return _difference_report(name, _scatter(diff, band, degree, lhs.flip, band + degree), band, tol)
 
 
 def operators_equal(lhs, rhs, band, tol=1e-9):
@@ -414,19 +489,16 @@ def _mix_coeffs():
     return out
 
 
-def _order_condition(name, dirac, j, family, band, tol):
-    """Zeroth/first/second order condition over a scalar-monomial family.
+def _order_commutators(order, dirac, j, family):
+    """The commutators of the order-``order`` condition over ``family``, as
+    ((i, label_a), (k, label_b), [a, b°]) in scan order.
 
     order 0: [L_a, (L_b)°] ; order 1: [[D, L_a], (L_b)°] ;
     order 2: [[D, L_a], ([D, L_b])°]  with x° = J x^* J, which is J x^* J^{-1}
     because J^2 = 1 for every J the suite passes here (``j1_involution``,
     ``j2_involution`` and ``prop12_*_ju_squared`` certify it).  The adjoint
-    is structural: (L_f)^* = L_{f*} and [D, L_f]^* = -[D, L_{f*}].  Each
-    commutator is a band operator tested against zero by
-    ``operator_identity``; the first violating pair in scan order is the
-    witness and its norm is the operator norm of the commutator.
+    is structural: (L_f)^* = L_{f*} and [D, L_f]^* = -[D, L_{f*}].
     """
-    order = 0 if name.endswith("order_zero") else (1 if name.endswith("order_one") else 2)
 
     def left(f):
         lf = left_mult(f)
@@ -439,16 +511,26 @@ def _order_condition(name, dirac, j, family, band, tol):
 
     lefts = [left(fa) for _, fa in family]
     circs = [circ(fb) for _, fb in family]
-    first = None
-    violations = 0
     for i, (la, _) in enumerate(family):
         for k, (lb, _) in enumerate(family):
-            comm = commutator_op(lefts[i], circs[k])
-            rep = operator_identity(comm, zero_op(comm.degree), band, tol)
-            if not rep.holds:
-                violations += 1
-                if first is None:
-                    first = Witness(((i, la), (k, lb)), None, rep.witness.norm)
+            yield (i, la), (k, lb), commutator_op(lefts[i], circs[k])
+
+
+def _order_condition(name, dirac, j, family, band, tol):
+    """Zeroth/first/second order condition over a scalar-monomial family
+    (see ``_order_commutators``).  Each commutator is a band operator tested
+    against zero by ``operator_identity``; the first violating pair in scan
+    order is the witness and its norm is the operator norm of the commutator.
+    """
+    order = 0 if name.endswith("order_zero") else (1 if name.endswith("order_one") else 2)
+    first = None
+    violations = 0
+    for a, b, comm in _order_commutators(order, dirac, j, family):
+        rep = operator_identity(comm, zero_op(comm.degree), band, tol)
+        if not rep.holds:
+            violations += 1
+            if first is None:
+                first = Witness((a, b), None, rep.witness.norm)
     if first is None:
         return ConditionReport(name, True, None, {"family_size": len(family)})
     return ConditionReport(

@@ -7,7 +7,10 @@ from nccheck.torus import (
     TORUS_EXPECTED,
     BandOp,
     TorusVector,
+    _difference_report,
+    _order_commutators,
     commutator_op,
+    default_prop12_unitaries,
     dirac_op,
     grading_op,
     identity_op,
@@ -17,6 +20,8 @@ from nccheck.torus import (
     ju_op,
     left_mult,
     monomial_chain_boundary,
+    multiplier_family,
+    op_matrix,
     operator_identity,
     operators_equal,
     right_mult,
@@ -222,3 +227,111 @@ def test_scalar_family_order():
     fam = scalar_family()
     assert [lbl for lbl, _ in fam][:3] == ["u^0v^0", "u^1v^0", "u^0v^1"]
     assert len(scalar_family(extended=True)) == 9
+
+
+# -- probe evaluation against the identity stack -------------------------------
+
+
+def _identity_stack_matrix(op, band, out_band=None):
+    """Reference for op_matrix: the operator applied to every basis vector of
+    H_band, with the images padded to ``out_band``."""
+    w = 2 * band + 1
+    dim = w * w * 4
+    img, lb = op.apply(np.eye(dim, dtype=complex).reshape(dim, w, w, 2, 2), band)
+    return _pad_rows(img.reshape(dim, -1).T, lb, lb if out_band is None else out_band)
+
+
+def _pad_rows(mat, band, out_band):
+    """A matrix with rows at ``band`` re-laid out at the larger ``out_band``."""
+    d = out_band - band
+    w, wo = 2 * band + 1, 2 * out_band + 1
+    full = np.zeros((mat.shape[1], wo, wo, 2, 2), dtype=complex)
+    full[:, d : d + w, d : d + w] = mat.T.reshape(-1, w, w, 2, 2)
+    return full.reshape(mat.shape[1], -1).T
+
+
+def _random_multiplier(rng, band):
+    shape = (2 * band + 1, 2 * band + 1, 2, 2)
+    return TorusVector(band, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def _probe_cases():
+    """Primitives, multipliers, compositions and order-condition commutators,
+    with both orientations, several degrees and inexact entries."""
+    d, gam, tau = dirac_op(), grading_op(), twist_op()
+    j0, j1, j2 = j0_op(), j1_op(), j2_op()
+    rng = np.random.default_rng(10)
+    unitaries = dict(default_prop12_unitaries())
+    mults = list(unitaries.values())
+    mults += [dict(multiplier_family())["mix"], _random_multiplier(rng, 1), _random_multiplier(rng, 2)]
+    cases = [d, gam, j0, j1, j2, tau]
+    cases += [op(f) for f in mults for op in (left_mult, right_mult)]
+    lf, rg = left_mult(mults[-2]), right_mult(mults[-1])
+    ju = ju_op(unitaries["offband"])
+    cases += [
+        j1 @ lf @ j2,
+        d @ rg @ j0,
+        ju @ d @ tau_u_op(unitaries["diag"]),
+        lf @ d - 0.5j * (d @ lf),
+        commutator_op(gam, rg),
+    ]
+    # the commutators of the suite's order conditions: orders 0, 1 and 2 for
+    # J1 and J2, order 2 for J_U with a degree-carrying U on its trimmed family
+    fam = scalar_family()
+    for order, j, family in [(o, j, fam) for j in (j1, j2) for o in (0, 1, 2)] + [(2, ju, fam[:3])]:
+        cases += [comm for _, _, comm in _order_commutators(order, d, j, family)]
+    return cases
+
+
+@pytest.mark.parametrize("band", [3, 4, 5])
+def test_probe_matrices_equal_identity_stack(band):
+    for op in _probe_cases():
+        ref = _identity_stack_matrix(op, band)
+        assert np.array_equal(op_matrix(op, band), ref), op.label
+        grown = band + op.degree + 2
+        ref = _pad_rows(ref, band + op.degree, grown)
+        assert np.array_equal(op_matrix(op, band, grown), ref), op.label
+
+
+@pytest.mark.parametrize("band", [3, 4])
+def test_probe_identity_matches_dense_route(band):
+    d, j1, j2 = dirac_op(), j1_op(), j2_op()
+    rng = np.random.default_rng(11)
+    f, g = _random_multiplier(rng, 1), _random_multiplier(rng, 2)
+    j1_second_order = [c for _, _, c in _order_commutators(2, d, j1, scalar_family())]
+    pairs = [
+        (j2 @ d, d @ j2),
+        (left_mult(f), right_mult(f)),
+        (left_mult(f) @ j1, j1 @ left_mult(g)),
+        (j1_second_order[7], zero_op(j1_second_order[7].degree)),
+        # holds with rounding residuals, and exactly
+        (left_mult(g) @ left_mult(f), left_mult(trig_mult(g, f))),
+        (j1_second_order[0], zero_op(j1_second_order[0].degree)),
+    ]
+    for lhs, rhs in pairs:
+        out_band = band + max(lhs.degree, rhs.degree)
+        dense = _difference_report(
+            "x",
+            _identity_stack_matrix(lhs, band, out_band) - _identity_stack_matrix(rhs, band, out_band),
+            band,
+            1e-9,
+        )
+        got = operator_identity(lhs, rhs, band, name="x")
+        assert got.holds == dense.holds
+        assert got.details == dense.details
+        if not dense.holds:
+            assert got.witness.indices == dense.witness.indices
+            assert got.witness.norm == dense.witness.norm
+    verdicts = [operator_identity(lhs, rhs, band) for lhs, rhs in pairs]
+    assert [r.holds for r in verdicts] == [False] * 4 + [True] * 2
+    assert verdicts[4].details["max_basis_residual"] > 0
+    assert verdicts[5].details["max_basis_residual"] == 0
+
+
+
+def test_mixed_linearity_rejected():
+    d, j1 = dirac_op(), j1_op()
+    with pytest.raises(ValueError):
+        d + j1
+    with pytest.raises(ValueError):
+        operator_identity(d, j1, 3)
