@@ -20,11 +20,13 @@ _DENSE_COMMUTANT_LIMIT = 2100
 
 
 class OperatorAlgebra:
-    """A *-closed (optionally unital) subalgebra given by an orthonormal basis."""
+    """A *-closed (optionally unital) subalgebra given by an orthonormal basis
+    and a stack of generators with a *-closed span (by default the basis)."""
 
-    def __init__(self, subspace, unital):
+    def __init__(self, subspace, unital, generators=None):
         self.subspace = subspace
         self.unital = bool(unital)
+        self.generators = subspace.basis_matrices() if generators is None else generators
 
     @property
     def ambient_dim(self):
@@ -73,7 +75,9 @@ def pairwise_products(left, right=None):
         rows = left[start : start + chunk]
         c = rows.shape[0]
         block = (rows.reshape(c * n, n) @ side_by_side).reshape(c, n, k, n)
-        yield block.transpose(0, 2, 1, 3).reshape(c * k, n * n)
+        # rebinding frees the GEMM result while the caller works on the copy
+        block = block.transpose(0, 2, 1, 3).reshape(c * k, n * n)
+        yield block
 
 
 def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
@@ -87,7 +91,7 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
     orthonormalises the products with a residual against the span into the
     next frontier.  Every word is s_1 times a shorter one, so the span is
     closed once a frontier is empty, after at most dim(result) * dim span(S)
-    tested products.
+    tested products.  The basis ``mult`` of span(S) is kept as generators.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -106,7 +110,7 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
         del new  # free the candidate rows before the grown basis is allocated
         space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
         frontier = extra.reshape(-1, n, n)
-    return OperatorAlgebra(space, unital)
+    return OperatorAlgebra(space, unital, mult)
 
 
 def _basis_stack(b):
@@ -115,6 +119,18 @@ def _basis_stack(b):
     if isinstance(b, MatrixSubspace):
         return b.basis_matrices()
     return np.stack([as_matrix(m) for m in b])
+
+
+def _generator_stack(b):
+    return b.generators if isinstance(b, OperatorAlgebra) else _basis_stack(b)
+
+
+def _null_rows(gram, tol):
+    """Orthonormal rows spanning the null space of a Hermitian PSD Gram: its
+    eigenvectors with eigenvalue <= tol * max(1, lambda_max)."""
+    evals, evecs = np.linalg.eigh(gram)
+    lam_max = float(evals[-1]) if evals.size else 0.0
+    return np.ascontiguousarray(evecs[:, evals <= tol * max(1.0, lam_max)].T)
 
 
 def commutant_constraint_gram(generators):
@@ -162,12 +178,8 @@ def commutant(b, tol=DEFAULT_TOL):
     if basis.shape[0] == 0:
         vecs = np.eye(n * n, dtype=complex)
         return OperatorAlgebra(MatrixSubspace(n, vecs), True)
-    a = commutant_constraint_gram(basis)
-    evals, evecs = np.linalg.eigh(a)
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    null = evals <= tol * max(1.0, lam_max)
-    vecs = evecs[:, null].T  # rows = flattened commutant matrices
-    return OperatorAlgebra(MatrixSubspace(n, np.ascontiguousarray(vecs)), True)
+    vecs = _null_rows(commutant_constraint_gram(basis), tol)  # flattened commutant matrices
+    return OperatorAlgebra(MatrixSubspace(n, vecs), True)
 
 
 _SEPARATION_DRAWS = 4  # random central elements commutant_dimension tries
@@ -178,8 +190,9 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
 
     Uses the finite-dimensional structure theory: decompose H under the
     algebra's center into isotypic blocks (d_i, m_i); the commutant has
-    dimension sum m_i^2.  All heavy work happens in the algebra's own
-    coordinates (dim k), never in B(H).
+    dimension sum m_i^2.  The center is the null space of the k x k Gram
+    sum_g <[c_i, g], [c_j, g]> over the basis c_i and the generators g (a
+    *-closed generating span): one stack of k n x n commutators per g.
     """
     if isinstance(b, OperatorAlgebra) and not b.unital:
         raise ValueError("commutant_dimension expects a unital *-algebra")
@@ -188,21 +201,13 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
     if k == 0:
         raise ValueError("commutant_dimension of the zero algebra")
     flat = basis.reshape(k, n * n)
-    # structure of commutators projected back onto the algebra basis
-    mu = np.empty((k, k, k), dtype=complex)  # mu[i, j, m] = <c_m, [c_i, c_j]>
-    for i in range(k):
-        comm = basis[i] @ basis - basis @ basis[i]
-        resid = residual_norms(comm.reshape(k, n * n), flat)
-        if resid.max() > tol * 100:
+    gram = np.zeros((k, k), dtype=complex)
+    for g in _generator_stack(b):
+        comm = (basis @ g - g @ basis).reshape(k, n * n)
+        if residual_norms(comm, flat).max() > tol * 100:
             raise ValueError("input is not product-closed; cannot use structure theory")
-        mu[i] = comm.reshape(k, n * n) @ flat.conj().T
-    # center: null space of alpha -> sum_i alpha_i mu[i, :, :]
-    constraint = mu.reshape(k, k * k).T  # (k*k, k)
-    gram = constraint.conj().T @ constraint
-    evals, evecs = np.linalg.eigh(gram)
-    lam_max = float(evals[-1]) if evals.size else 0.0
-    null = evals <= tol * max(1.0, lam_max)
-    center_coeff = evecs[:, null].T
+        gram += comm.conj() @ comm.T
+    center_coeff = _null_rows(gram, tol)
     c = center_coeff.shape[0]
     # generic Hermitian central element separates the isotypic blocks: it is
     # a distinct scalar on each one, so its eigenspaces are the blocks; a draw
@@ -240,7 +245,8 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
 def circ_image(j, b, tol=DEFAULT_TOL):
     """Algebra {b° : b in B} = J B^* J^{-1}, spanned basiswise.
 
-    *-closed because B is; unital when B is.
+    *-closed because B is; unital when B is.  circ is an antiautomorphism
+    that commutes with *, so the images of B's generators generate it.
     """
     basis = _basis_stack(b)
     if basis.shape[1] != j.dim:
@@ -248,20 +254,17 @@ def circ_image(j, b, tol=DEFAULT_TOL):
     imgs = [circ(j, m) for m in basis]
     sub = span(imgs, tol)
     unital = b.unital if isinstance(b, OperatorAlgebra) else True
-    return OperatorAlgebra(sub, unital)
+    gens = np.array([circ(j, g) for g in _generator_stack(b)], dtype=complex)
+    return OperatorAlgebra(sub, unital, gens.reshape(-1, j.dim, j.dim))
 
 
-def commutes_with_all(x, b, tol=DEFAULT_TOL, norm="fro"):
-    """Largest commutator norm of x against the basis of b.
+def commutes_with_all(x, b, tol=DEFAULT_TOL):
+    """Largest Frobenius commutator norm of x against the basis of b.
 
-    Frobenius by default (vectorized, and an upper bound on the operator
-    norm, so containment verdicts are conservative); pass norm="op" when the
-    reported magnitude must be the spectral norm.
+    The Frobenius norm bounds the operator norm, so containment verdicts
+    are conservative.
     """
     basis = _basis_stack(b)
     comm = x @ basis - basis @ x
-    if norm == "op":
-        worst = max(float(np.linalg.norm(c, 2)) for c in comm)
-    else:
-        worst = float(np.sqrt((np.abs(comm) ** 2).reshape(len(basis), -1).sum(axis=1).max()))
+    worst = float(np.sqrt((np.abs(comm) ** 2).reshape(len(basis), -1).sum(axis=1).max()))
     return worst <= tol, worst

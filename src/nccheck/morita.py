@@ -67,15 +67,14 @@ def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
         n = b1.ambient_dim
         if not contained:
             # a basis element of B1 that fails to commute is itself evidence;
-            # keep the commutator with largest norm
-            best = None
-            for i, x in enumerate(b1.basis_matrices()):
-                for g in c.basis_matrices():
-                    cm = x @ g - g @ x
-                    nrm = float(np.linalg.norm(cm, 2))
-                    if best is None or nrm > best[0]:
-                        best = (nrm, cm)
-            witness, wres = best[1], best[0]
+            # keep the commutator with largest operator norm, the first on ties
+            cb = c.basis_matrices()
+            for x in b1.basis_matrices():
+                cms = x @ cb - cb @ x
+                norms = np.linalg.norm(cms, 2, axis=(1, 2))
+                i = int(np.argmax(norms))
+                if wres is None or norms[i] > wres:  # a copy, so the stack is freed
+                    witness, wres = cms[i].copy(), float(norms[i])
         elif n * n <= _DENSE_COMMUTANT_LIMIT:
             cc = commutant(c, tol)
             found = subspace_witness(cc.subspace, b1.subspace, tol)

@@ -57,7 +57,7 @@ def operator_degree(x, gamma, tol=DEFAULT_TOL):
     return None
 
 
-def graded_product(a, b, gamma1, gamma2, side="left", tol=DEFAULT_TOL):
+def graded_product(a, b, gamma1, gamma2, side="left"):
     """Koszul graded products on H1 (x) H2.
 
     left:  (a . b)(v (x) w) = (-1)^{|b||v|} a v (x) b w, i.e. a gamma1^{|b|} (x) b

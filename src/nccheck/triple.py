@@ -536,26 +536,22 @@ def check_hochschild_cycle(t, chains, tol=None):
 # -- equivalences (4) and (5) ---------------------------------------------
 
 
-def clifford_circ_in_algebra_commutant(t, tol=None):
-    """Cl_D(A)° subset of A' -- the condition equivalent to orders 0 and 1."""
+def clifford_circ_in_commutant(t, b, tol=None):
+    """Cl_D(A)° subset of B' for a unital *-algebra B on H: with B = A the
+    condition equivalent to orders 0 and 1 (4), with B = Cl_D(A) the one
+    equivalent to all three orders (5).
+
+    Decided on generators: B' contains Cl° iff it contains the circ images
+    of Cl's generating span, and x lies in B' iff it commutes with B's.
+    Returns (holds, worst), worst the largest commutator norm of the first
+    failing image against B's generators, 0.0 when the inclusion holds.
+    """
     j = _require_real(t)
     tol = t.tol if tol is None else tol
-    cl = clifford(t)
-    abasis = t.algebra_basis()
-    for b in cl.basis_matrices():
-        ok, worst = commutes_with_all(circ(j, b), abasis, tol)
-        if not ok:
-            return False, worst
-    return True, 0.0
-
-
-def clifford_circ_in_clifford_commutant(t, tol=None):
-    """Cl_D(A)° subset of Cl_D(A)' -- equivalent to all three orders."""
-    j = _require_real(t)
-    tol = t.tol if tol is None else tol
-    cl = clifford(t).basis_matrices()
-    for b in cl:
-        ok, worst = commutes_with_all(circ(j, b), cl, tol)
+    if len(b.generators) == 0:  # B is the scalars
+        return True, 0.0
+    for g in clifford(t).generators:
+        ok, worst = commutes_with_all(circ(j, g), b.generators, tol)
         if not ok:
             return False, worst
     return True, 0.0

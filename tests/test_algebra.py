@@ -3,6 +3,7 @@ import pytest
 
 from nccheck import algebra
 from nccheck.algebra import (
+    OperatorAlgebra,
     circ_image,
     commutant,
     commutant_constraint_gram,
@@ -20,12 +21,18 @@ from nccheck.numlin import (
     span,
     subspace_equal,
 )
+from nccheck.product import graded_algebra, random_graded_pair
 
 S0, S1, S2, S3 = PAULI
 
 
 def rand_mat(rng, n):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def rand_j(rng, n):
+    q, _ = np.linalg.qr(rand_mat(rng, n))
+    return AntilinearOperator(q @ q.T)  # J^2 = 1
 
 
 def test_generate_examples():
@@ -226,12 +233,50 @@ def test_left_mult_algebra_commutant_is_right_mult():
     assert c.dim == 4 and subspace_equal(c.subspace, r)
 
 
-def test_commutant_dimension_matches_basis_computation():
+def test_commutant_dimension_matches_basis_computation(monkeypatch):
+    real = algebra.residual_norms
+    rows = []
+
+    def counted(vecs, basis):
+        rows.append(len(vecs))
+        return real(vecs, basis)
+
     rng = np.random.default_rng(4)
+    algs = []
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        alg = generate_star_algebra([rand_mat(rng, n) for _ in range(int(rng.integers(1, 3)))])
-        assert commutant_dimension(alg) == commutant(alg).dim
+        algs.append(generate_star_algebra([rand_mat(rng, n) for _ in range(int(rng.integers(1, 3)))]))
+    for _ in range(10):
+        alg = generate_star_algebra(_random_block_generators(rng, True))
+        algs += [alg, circ_image(rand_j(rng, alg.ambient_dim), alg)]
+    pair = random_graded_pair(rng)
+    graded = graded_algebra(pair.b1, pair.b2, pair.gamma1, pair.gamma2)
+    assert len(graded.generators) == graded.dim  # stores no generators: the basis
+    algs.append(graded)
+    monkeypatch.setattr(algebra, "residual_norms", counted)
+    for alg in algs:
+        rows.clear()
+        dim = commutant_dimension(alg)
+        assert sum(rows) == len(alg.generators) * alg.dim  # k commutators per generator
+        assert dim == commutant(alg).dim
+
+
+@pytest.mark.parametrize("unital", [True, False], ids=["unital", "non_unital"])
+def test_stored_generators_regenerate_the_algebra(unital):
+    rng = np.random.default_rng(13 if unital else 14)
+    for _ in range(10):
+        alg = generate_star_algebra(_random_block_generators(rng, unital), unital)
+        img = circ_image(rand_j(rng, alg.ambient_dim), alg)
+        for b in (alg, img):
+            again = generate_star_algebra(list(b.generators), unital)
+            assert subspace_equal(again.subspace, b.subspace)
+
+
+def test_commutant_dimension_rejects_a_span_that_is_not_product_closed():
+    e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+    alg = OperatorAlgebra(span([e12, e12.T]), True)  # E12 E21 = E11 lies outside
+    with pytest.raises(ValueError, match="not product-closed"):
+        commutant_dimension(alg)
 
 
 def test_circ_image_left_to_right():
@@ -252,9 +297,7 @@ def test_circ_image_scalars_fixed():
 def test_circ_image_involutive():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        n = 3
-        q, _ = np.linalg.qr(rand_mat(rng, n))
-        j = AntilinearOperator(q @ q.T)  # J^2 = 1
-        alg = generate_star_algebra([rand_mat(rng, n)])
+        j = rand_j(rng, 3)
+        alg = generate_star_algebra([rand_mat(rng, 3)])
         back = circ_image(j, circ_image(j, alg))
         assert subspace_equal(back.subspace, alg.subspace)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nccheck.algebra import generate_star_algebra
+from nccheck.algebra import circ_image, generate_star_algebra
 from nccheck.catalog import TRANSPOSE_PERM, example_evenspin, example_hodge_m2
 from nccheck.morita import classify, morita_equivalent_J, morita_test
 from nccheck.numlin import PAULI, AntilinearOperator, left_mult_matrix, opnorm
@@ -90,6 +90,27 @@ def test_witness_soundness():
     assert not res.equivalent and res.contained
     assert res.witness is not None
     assert scalars.subspace.residual(res.witness) > 0.9
+
+
+def test_failed_containment_witness_is_the_first_largest_commutator():
+    rng = np.random.default_rng(8)
+    m2 = generate_star_algebra([S1, S2])
+    cases = [(m2, m2, AntilinearOperator.plain_conjugation(2))]  # ties between pairs
+    for _ in range(5):
+        q, _ = np.linalg.qr(rand_mat(rng, 3))
+        b1, b2 = (generate_star_algebra([rand_mat(rng, 3)]) for _ in range(2))
+        cases.append((b1, b2, AntilinearOperator(q @ q.T)))
+    for b1, b2, j in cases:
+        res = morita_test(b1, b2, j)
+        assert not res.contained
+        best = None  # reference: every basis pair, a strictly larger norm replaces
+        for x in b1.basis_matrices():
+            for g in circ_image(j, b2).basis_matrices():
+                cm = x @ g - g @ x
+                nrm = float(np.linalg.norm(cm, 2))
+                if best is None or nrm > best[0]:
+                    best = (nrm, cm)
+        assert res.witness_residual == best[0] and np.array_equal(res.witness, best[1])
 
 
 def test_diagnostics_dimensions():

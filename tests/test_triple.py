@@ -19,8 +19,7 @@ from nccheck.triple import (
     check_order_zero,
     check_signs,
     clifford,
-    clifford_circ_in_algebra_commutant,
-    clifford_circ_in_clifford_commutant,
+    clifford_circ_in_commutant,
     clifford_gamma,
     hochschild_boundary,
     chains_norm,
@@ -175,10 +174,10 @@ def test_equivalences_four_and_five():
     # orders 0+1 <=> Cl° in A'; all three <=> Cl° in Cl'
     for t in (example_evenspin(), example_hodge_m2()):
         lhs01 = check_order_zero(t).holds and check_order_one(t).holds
-        rhs01, _ = clifford_circ_in_algebra_commutant(t)
+        rhs01, _ = clifford_circ_in_commutant(t, t.algebra())
         assert lhs01 == rhs01
         lhs012 = lhs01 and check_order_two(t).holds
-        rhs012, _ = clifford_circ_in_clifford_commutant(t)
+        rhs012, _ = clifford_circ_in_commutant(t, clifford(t))
         assert lhs012 == rhs012
     # a violating example: product with plain J fails order two, and the
     # equivalence must see that on the Cl side as well
@@ -186,7 +185,7 @@ def test_equivalences_four_and_five():
 
     p = product_triple(example_evenspin(), example_evenspin(), "plain")
     assert not check_order_two(p).holds
-    ok, _ = clifford_circ_in_clifford_commutant(p)
+    ok, _ = clifford_circ_in_commutant(p, clifford(p))
     assert not ok
 
 
