@@ -38,7 +38,7 @@ def orthonormalize_rows(vecs, tol, against=None):
             if against.shape[0]:
                 v -= against_conj.dot(v).dot(against)
             if count:
-                v -= out[:count].conj().dot(v).dot(out[:count])
+                v -= np.conj(out[:count].dot(v.conj())).dot(out[:count])
         nrm = np.linalg.norm(v)
         if nrm > tol:
             out[count] = v / nrm

@@ -40,25 +40,32 @@ class MoritaTest:
         }
 
 
+def _commutator_worst(xs, b, tol):
+    """(every x commutes with b, largest commutator norm) over the stack xs."""
+    results = [commutes_with_all(x, b, tol) for x in xs]
+    return all(ok for ok, _ in results), max((w for _, w in results), default=0.0)
+
+
 def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
     """Test B1 ~_J B2, i.e. B1 = (B2°)' as subspaces.
 
-    Containment B1 in (B2°)' is checked by commutation residuals; equality
-    then reduces to dim B1 = dim (B2°)', with the commutant dimension taken
-    from the structure theory of the small algebra B2° (no commutant basis
-    on large H).  When equality fails and the ambient space is small enough,
-    an explicit witness in the larger space is extracted.
+    Containment B1 in (B2°)' is decided on the *-closed generating spans
+    (B1 lies in a commutant iff its generators do, x in (B2°)' iff x commutes
+    with B2°'s), so worst_commutator is over generator pairs; a failure
+    compares every basis pair instead.  Equality then reduces to dim B1 =
+    dim (B2°)', with the commutant dimension taken from the structure theory
+    of the small algebra B2° (no commutant basis on large H).  When equality
+    fails and the ambient space is small enough, an explicit witness in the
+    larger space is extracted.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     c = circ_image(j, b2, tol)
-    worst = 0.0
-    contained = True
-    for x in b1.basis_matrices():
-        ok, w = commutes_with_all(x, c, tol)
-        worst = max(worst, w)
-        if not ok:
-            contained = False
+    contained, worst = True, 0.0
+    if len(c.generators):  # else B2° is the scalars
+        contained, worst = _commutator_worst(b1.generators, c.generators, tol)
+    if not contained:
+        contained, worst = _commutator_worst(b1.basis_matrices(), c, tol)
     dim_cc = commutant_dimension(c, tol)
     equivalent = contained and (b1.dim == dim_cc)
     witness = None

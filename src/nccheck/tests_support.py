@@ -58,7 +58,7 @@ def _pair_actuals(entry, tol):
     if "plain_even_spin" in expected:
         out["plain_even_spin"] = (expected["plain_even_spin"], cls.even_spin)
     if "witness_in_clifford_gamma_commutant" in expected:
-        ok, _ = commutes_with_all(witness, clifford_gamma(prod), tol)
+        ok, _ = commutes_with_all(witness, clifford_gamma(prod).generators, tol)
         out["witness_in_clifford_gamma_commutant"] = (
             expected["witness_in_clifford_gamma_commutant"], ok
         )

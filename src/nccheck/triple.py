@@ -7,6 +7,7 @@ from functools import reduce
 
 import numpy as np
 
+from ._kernels import orthonormalize_rows
 from .algebra import (
     commutes_with_all,
     generate_star_algebra,
@@ -15,12 +16,12 @@ from .algebra import (
 from .numlin import (
     DEFAULT_TOL,
     AntilinearOperator,
+    MatrixSubspace,
     adjoint,
     as_matrix,
     circ,
     commutator,
     opnorm,
-    span,
 )
 
 
@@ -221,8 +222,10 @@ def one_forms(t):
         basis = t.algebra_basis()
         n = t.hilbert_dim
         db = t.dirac @ basis - basis @ t.dirac
-        mats = np.vstack(list(pairwise_products(basis, db))).reshape(-1, n, n)
-        t._derived["one_forms"] = span(list(mats), t.tol)
+        stack = np.vstack(list(pairwise_products(basis, db)))
+        if not np.all(np.isfinite(stack)):
+            raise ValueError("matrix has non-finite entries")
+        t._derived["one_forms"] = MatrixSubspace(n, orthonormalize_rows(stack, t.tol))
     return t._derived["one_forms"]
 
 

@@ -172,22 +172,6 @@ def _product_json(capsys, name):
     return capsys.readouterr().out
 
 
-def _assert_same_up_to_rounding(got, want, path="$"):
-    """Equal structure and non-float values; floats within relative 1e-12."""
-    if isinstance(want, float) and isinstance(got, float):
-        assert abs(got - want) <= 1e-12 * max(abs(got), abs(want)), (path, got, want)
-    elif isinstance(want, dict):
-        assert isinstance(got, dict) and got.keys() == want.keys(), path
-        for key in want:
-            _assert_same_up_to_rounding(got[key], want[key], f"{path}.{key}")
-    elif isinstance(want, list):
-        assert isinstance(got, list) and len(got) == len(want), path
-        for i, (g, w) in enumerate(zip(got, want)):
-            _assert_same_up_to_rounding(g, w, f"{path}[{i}]")
-    else:
-        assert type(got) is type(want) and got == want, (path, got, want)
-
-
 def test_product_command_json_evenspin2_koszul_pinned(capsys):
     name = "product_evenspin2_koszul.json"
     assert _product_json(capsys, name) == _pinned(name)  # byte-identical
@@ -198,8 +182,7 @@ def test_product_command_json_evenspin2_koszul_pinned(capsys):
              "product_hodge_m2_sq_koszul.json"]
 )
 def test_product_command_json_matches_pinned(capsys, name):
-    got = json.loads(_product_json(capsys, name))
-    _assert_same_up_to_rounding(got, json.loads(_pinned(name)))
+    assert _product_json(capsys, name) == _pinned(name)  # byte-identical
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])

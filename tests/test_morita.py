@@ -1,11 +1,26 @@
+import functools
+import json
+import os
+
 import numpy as np
 import pytest
 
-from nccheck.algebra import circ_image, generate_star_algebra
-from nccheck.catalog import TRANSPOSE_PERM, example_evenspin, example_hodge_m2
+from nccheck import morita
+from nccheck.algebra import circ_image, commutant, generate_star_algebra
+from nccheck.catalog import TRANSPOSE_PERM, catalog_entries, example_evenspin, example_hodge_m2
 from nccheck.morita import classify, morita_equivalent_J, morita_test
-from nccheck.numlin import PAULI, AntilinearOperator, left_mult_matrix, opnorm
-from nccheck.triple import check_order_one, check_order_two, check_order_zero, clifford
+from nccheck.numlin import PAULI, AntilinearOperator, circ, left_mult_matrix, opnorm
+from nccheck.product import product_triple
+from nccheck.serialize import triple_from_document
+from nccheck.triple import (
+    check_order_one,
+    check_order_two,
+    check_order_zero,
+    clifford,
+    clifford_gamma,
+)
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "golden")
 
 S0, S1, S2, S3 = PAULI
 
@@ -121,3 +136,120 @@ def test_diagnostics_dimensions():
     assert d["dim_clifford_gamma"] == 16
     assert d["spin"].dim_circ_commutant == 16  # (A°)' = Cl^gamma here
     assert d["even_spin"].equivalent
+
+
+def _basis_pair_reference(b1, b2, j, tol):
+    """(contained, worst Frobenius commutator, witness, its operator norm) from
+    every basis pair of B1 x B2°; the witness is the first largest in norm and
+    is only formed when containment fails."""
+    cb = circ_image(j, b2, tol).basis_matrices()
+
+    def commutators():
+        return (x @ g - g @ x for x in b1.basis_matrices() for g in cb)
+
+    worst = max(float(np.sqrt((np.abs(cm) ** 2).sum())) for cm in commutators())
+    if worst <= tol:
+        return True, worst, None, None
+    best = None
+    for cm in commutators():
+        nrm = float(np.linalg.norm(cm, 2))
+        if best is None or nrm > best[0]:
+            best = (nrm, cm)
+    return False, worst, best[1], best[0]
+
+
+def _morita_pairs(t):
+    """The (B1, B2) of the spin, Hodge and (when graded) even-spin tests."""
+    a, cl = t.algebra(), clifford(t)
+    pairs = [(cl, a), (cl, cl)]
+    return pairs + ([(clifford_gamma(t), a)] if t.grading is not None else [])
+
+
+def _golden_triple(name):
+    with open(os.path.join(GOLDEN, f"{name}.json")) as fh:
+        return triple_from_document(json.load(fh))
+
+
+@functools.cache
+def _golden_product(first, second, mode):
+    return product_triple(_golden_triple(first), _golden_triple(second), mode)
+
+
+_GOLDEN_PRODUCTS = [
+    ("evenspin_pair_1", "evenspin_pair_2", "koszul"),
+    ("evenspin_pair_1", "evenspin_pair_2", "plain"),
+    ("mixed_1", "mixed_2", "koszul"),
+    ("hodge_m2", "hodge_m2", "koszul"),
+]
+
+
+def _random_morita_pairs():
+    """10 seeded (B1, B2, J) on C^n, n <= 4: B2 generated by a non-normal
+    block matrix; B1 inside (B2°)' (k % 3 == 0), generic (k % 3 == 1), or
+    generated by circ of B2's generator, which commutes with that generator
+    of B2° but not with its adjoint (k % 3 == 2)."""
+    rng = np.random.default_rng(12)
+    for k in range(10):
+        n = int(rng.integers(3, 5))
+        q, _ = np.linalg.qr(rand_mat(rng, n))
+        j = AntilinearOperator(q @ q.T)
+        g = np.zeros((n, n), dtype=complex)
+        g[:2, :2] = np.triu(rand_mat(rng, 2))
+        g[2:, 2:] = rand_mat(rng, n - 2)
+        b2 = generate_star_algebra([g])
+        if k % 3 == 0:
+            cc = commutant(circ_image(j, b2))
+            w = rng.standard_normal(cc.dim) + 1j * rng.standard_normal(cc.dim)
+            b1 = generate_star_algebra([np.tensordot(w, cc.basis_matrices(), 1)])
+        elif k % 3 == 1:
+            b1 = generate_star_algebra([rand_mat(rng, n)])
+        else:
+            b1 = generate_star_algebra([circ(j, g)])
+        yield b1, b2, j
+
+
+def _assert_matches_basis_pairs(b1, b2, j, tol):
+    res = morita_test(b1, b2, j, tol)
+    contained, worst, witness, wres = _basis_pair_reference(b1, b2, j, tol)
+    assert res.contained == contained
+    if contained:
+        assert res.worst_commutator <= tol and worst <= tol
+    else:
+        assert res.worst_commutator == worst
+        assert res.witness_residual == wres and np.array_equal(res.witness, witness)
+    return contained
+
+
+def test_generator_containment_matches_basis_pairs_on_catalog_triples():
+    for entry in catalog_entries():
+        if entry.kind == "triple":
+            t = entry.build()
+            for b1, b2 in _morita_pairs(t):
+                _assert_matches_basis_pairs(b1, b2, t.real_structure.j, t.tol)
+
+
+@pytest.mark.parametrize("first, second, mode", _GOLDEN_PRODUCTS)
+def test_generator_containment_matches_basis_pairs_on_golden_products(first, second, mode):
+    t = _golden_product(first, second, mode)
+    for b1, b2 in _morita_pairs(t):
+        _assert_matches_basis_pairs(b1, b2, t.real_structure.j, t.tol)
+
+
+def test_generator_containment_matches_basis_pairs_on_random_pairs():
+    verdicts = [_assert_matches_basis_pairs(*case, 1e-9) for case in _random_morita_pairs()]
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_koszul_evenspin2_containment_takes_19_generator_calls(monkeypatch):
+    # B1 generators x B2° generators: Cl (6) x A° (4), Cl (6) x Cl° (6), Cl^gamma (7) x A° (4)
+    t = _golden_product("evenspin_pair_1", "evenspin_pair_2", "koszul")
+    calls, real = [], morita.commutes_with_all
+
+    def counting(x, b, tol):
+        calls.append(len(b))
+        return real(x, b, tol)
+
+    monkeypatch.setattr(morita, "commutes_with_all", counting)
+    c = classify(t)
+    assert all(c.diagnostics[k].contained for k in ("spin", "hodge", "even_spin"))
+    assert calls == [4] * 6 + [6] * 6 + [4] * 7
