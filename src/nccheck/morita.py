@@ -40,10 +40,24 @@ class MoritaTest:
         }
 
 
-def _commutator_worst(xs, b, tol):
-    """(every x commutes with b, largest commutator norm) over the stack xs."""
-    results = [commutes_with_all(x, b, tol) for x in xs]
-    return all(ok for ok, _ in results), max((w for _, w in results), default=0.0)
+def _basis_pairs(b1, c, tol, want_witness):
+    """(contained, largest Frobenius commutator, witness, its operator norm)
+    over the basis pairs of B1 x C, one commutator stack per x serving both
+    norms; the witness has the largest operator norm, the first on ties."""
+    cb = c.basis_matrices()
+    worst, witness, wres = 0.0, None, None
+    for x in b1.basis_matrices():
+        cms = x @ cb - cb @ x
+        frob = np.sqrt((np.abs(cms) ** 2).reshape(len(cb), -1).sum(axis=1).max())
+        worst = max(worst, float(frob))
+        if want_witness:
+            norms = np.linalg.norm(cms, 2, axis=(1, 2))
+            i = int(np.argmax(norms))
+            if wres is None or norms[i] > wres:  # a copy, so the stack is freed
+                witness, wres = cms[i].copy(), float(norms[i])
+    if worst <= tol:  # generators of norm above 1 can fail where the basis passes
+        return True, worst, None, None
+    return False, worst, witness, wres
 
 
 def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
@@ -61,32 +75,19 @@ def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
     if b1.ambient_dim != b2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     c = circ_image(j, b2, tol)
-    contained, worst = True, 0.0
-    if len(c.generators):  # else B2° is the scalars
-        contained, worst = _commutator_worst(b1.generators, c.generators, tol)
+    gens = c.generators  # none when B2° is the scalars
+    results = [commutes_with_all(x, gens, tol) for x in b1.generators] if len(gens) else []
+    contained = all(ok for ok, _ in results)
+    worst = max((w for _, w in results), default=0.0)
+    witness = wres = None
     if not contained:
-        contained, worst = _commutator_worst(b1.basis_matrices(), c, tol)
+        contained, worst, witness, wres = _basis_pairs(b1, c, tol, want_witness)
     dim_cc = commutant_dimension(c, tol)
     equivalent = contained and (b1.dim == dim_cc)
-    witness = None
-    wres = None
-    if not equivalent and want_witness:
-        n = b1.ambient_dim
-        if not contained:
-            # a basis element of B1 that fails to commute is itself evidence;
-            # keep the commutator with largest operator norm, the first on ties
-            cb = c.basis_matrices()
-            for x in b1.basis_matrices():
-                cms = x @ cb - cb @ x
-                norms = np.linalg.norm(cms, 2, axis=(1, 2))
-                i = int(np.argmax(norms))
-                if wres is None or norms[i] > wres:  # a copy, so the stack is freed
-                    witness, wres = cms[i].copy(), float(norms[i])
-        elif n * n <= _DENSE_COMMUTANT_LIMIT:
-            cc = commutant(c, tol)
-            found = subspace_witness(cc.subspace, b1.subspace, tol)
-            if found is not None:
-                witness, wres = found
+    if contained and not equivalent and want_witness and b1.ambient_dim ** 2 <= _DENSE_COMMUTANT_LIMIT:
+        found = subspace_witness(commutant(c, tol).subspace, b1.subspace, tol)
+        if found is not None:
+            witness, wres = found
     return MoritaTest(equivalent, contained, b1.dim, dim_cc, worst, witness, wres)
 
 

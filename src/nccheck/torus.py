@@ -17,24 +17,26 @@ complex conjugation sends mode k to -k, else +1) maps the basis vector
 e_{k,f} into the modes s*k + [-d, d]^2.  Operators are therefore evaluated on
 colour-class probes, one per (k mod (2d+1), f), and each basis column is read
 from its own window of a probe's image (column colouring, Curtis-Powell-Reid
-1974).  An identity whose difference vanishes on every window holds there;
-``op_matrix``, the one dense evaluation, scatters the windows into the matrix
-on the basis of H_N for the signs, the adjoints and every other difference.
+1974).  Every verdict is decided on the windows, by the largest column norm
+of a difference against the tolerance; a difference is scattered into its
+dense matrix on the basis of H_N only for a number that a report prints.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .numlin import PAULI
+from .numlin import DEFAULT_TOL, PAULI
 from .triple import ConditionReport, Witness, ko_dimensions
 
 S0, S1, S2, S3 = PAULI
 
 MIN_BAND = 3
-# the dense matrices of the sign and adjoint checks grow as N^4 (band 8:
-# 11 s and 285 MB on a 2-core machine with one BLAS thread), and the suite's
-# verdicts do not depend on the band
+# the suite's verdicts do not depend on the band, while the probe images of
+# its high-degree commutators (degree 6 in prop12_offband_order_two, which
+# holds the peak) grow with it: band 8 takes 18 s and 290 MB peak RSS on a
+# 2-core machine with one BLAS thread (38 s and 288 MB when the signs and
+# adjoints were decided on dense matrices)
 MAX_BAND = 8
 
 # fibre maps c -> A c B as 4x4 matrices kron(A, B^T) on row-major fibres
@@ -68,13 +70,7 @@ class TorusVector:
     def pad(self, band):
         if band < self.band:
             raise ValueError("cannot shrink the band")
-        if band == self.band:
-            return self
-        out = zero_coeffs(band)
-        d = band - self.band
-        w = _width(self.band)
-        out[d : d + w, d : d + w] = self.coeffs
-        return TorusVector(band, out)
+        return TorusVector(band, _pad_batch(self.coeffs, self.band, band))
 
     def inner(self, other):
         band = max(self.band, other.band)
@@ -90,8 +86,7 @@ class TorusVector:
         return TorusVector(band, self.pad(band).coeffs + other.pad(band).coeffs)
 
     def __sub__(self, other):
-        band = max(self.band, other.band)
-        return TorusVector(band, self.pad(band).coeffs - other.pad(band).coeffs)
+        return self + (-1.0) * other
 
     def __rmul__(self, z):
         return TorusVector(self.band, z * self.coeffs)
@@ -307,14 +302,14 @@ def unitarity_defect(u):
     return float(np.abs(prod.coeffs - ref.coeffs).max())
 
 
-def ju_op(u, tol=1e-9):
+def ju_op(u, tol=DEFAULT_TOL):
     """J_U = L_U R_U J2 for a unitary matrix trig polynomial U."""
     if unitarity_defect(u) > tol:
         raise ValueError("U is not unitary as a trig polynomial")
     return left_mult(u) @ right_mult(u) @ j2_op()
 
 
-def tau_u_op(u, tol=1e-9):
+def tau_u_op(u, tol=DEFAULT_TOL):
     """tau_U = L_U R_U tau; requires tau(U) = U^*."""
     defect = tau_of_poly(u) - trig_adjoint(u)
     if float(np.abs(defect.coeffs).max()) > tol:
@@ -359,10 +354,14 @@ def _window_index(cols, band, degree, flip, offset=0):
             np.arange(4)[:, None, None], rows[:, None, None, :, None], rows[None, :, None, None, :])
 
 
-def _probe_windows(ops, band, degree, flip):
-    """Windows (w, w, 4, 2d+1, 2d+1, 4) of each operator's matrix at
-    d = degree (at least each operator's own): entry [a, b, f, i, j, g] is the
-    coefficient (i, j, g) of the window of column (a, b, f)."""
+def _probe_windows(ops, band):
+    """Windows (w, w, 4, 2d+1, 2d+1, 4) of the matrices of operators of one
+    linearity type at d = their largest degree: entry [a, b, f, i, j, g] is
+    the coefficient (i, j, g) of the window of column (a, b, f)."""
+    flip = ops[0].flip
+    if any(op.flip != flip for op in ops):
+        raise ValueError("cannot compare operators of different linearity type")
+    degree = max(op.degree for op in ops)
     w = _width(band)
     colours = min(w, 2 * degree + 1)
     probes = _probes(band, colours)
@@ -376,9 +375,11 @@ def _probe_windows(ops, band, degree, flip):
     return out
 
 
-def _scatter(windows, band, degree, flip, out_band):
+def _scatter(windows, band, flip, out_band=None):
     """The dense matrix whose columns hold ``windows`` (from ``_probe_windows``),
-    laid out at ``out_band``, and zeros elsewhere."""
+    laid out at ``out_band`` (default: band + their degree), zeros elsewhere."""
+    degree = windows.shape[3] // 2
+    out_band = band + degree if out_band is None else out_band
     w, wo = _width(band), _width(out_band)
     dense = np.zeros((w, w, 4, wo, wo, 4), dtype=complex)
     dense[_window_index(np.arange(w), band, degree, flip, out_band - band - degree)] = windows
@@ -394,17 +395,21 @@ def op_matrix(op, band, out_band=None):
     For an antilinear operator the returned matrix M represents
     v -> M conj(v); compose such matrices only with linear ones in mind.
     """
-    out_band = band + op.degree if out_band is None else out_band
-    (windows,) = _probe_windows([op], band, op.degree, op.flip)
-    return _scatter(windows, band, op.degree, op.flip, out_band)
+    (windows,) = _probe_windows([op], band)
+    return _scatter(windows, band, op.flip, out_band)
 
 
-def _both_sides(lhs, rhs, band):
-    """Matrices of two operators of one linearity type in a common band."""
-    if lhs.antilinear != rhs.antilinear:
-        raise ValueError("cannot compare operators of different linearity type")
-    out_band = band + max(lhs.degree, rhs.degree)
-    return op_matrix(lhs, band, out_band), op_matrix(rhs, band, out_band)
+def _largest_column(windows):
+    """Largest column norm of the matrix whose columns hold ``windows``."""
+    w = windows.shape[0]
+    return float(np.linalg.norm(windows.reshape(w * w * 4, -1), axis=1).max())
+
+
+def _operator_norm(dense):
+    """Operator 2-norm from the largest eigenvalue of dense^H dense: unlike the
+    SVD, it gave the same bits with 1 and 2 OpenBLAS threads for the witnesses
+    at bands 3 and 4 (2-core machine; other thread counts not checked)."""
+    return float(np.sqrt(np.linalg.eigvalsh(dense.conj().T @ dense)[-1]))
 
 
 def _difference_report(name, diff, band, tol):
@@ -412,16 +417,13 @@ def _difference_report(name, diff, band, tol):
 
     The witness carries the worst basis mode and the operator 2-norm of the
     difference (exact: uniform mode weights make the coefficient matrix the
-    operator matrix in an orthonormal basis), taken from the largest
-    eigenvalue of diff^H diff: unlike the SVD, it gave the same bits with 1
-    and 2 OpenBLAS threads for the witnesses at bands 3 and 4 (2-core
-    machine; other thread counts not checked).
+    operator matrix in an orthonormal basis).
     """
     worst = np.linalg.norm(diff, axis=0)
     idx = int(np.argmax(worst))
     if worst[idx] <= tol:
         return ConditionReport(name, True, None, {"band": band, "max_basis_residual": float(worst[idx])})
-    opn = float(np.sqrt(np.linalg.eigvalsh(diff.conj().T @ diff)[-1]))
+    opn = _operator_norm(diff)
     w = _width(band)
     mode_flat = idx // 4
     mode = (mode_flat // w - band, mode_flat % w - band)
@@ -433,25 +435,35 @@ def _difference_report(name, diff, band, tol):
     )
 
 
-def operator_identity(lhs, rhs, band, tol=1e-9, name="identity"):
+def operator_identity(lhs, rhs, band, tol=DEFAULT_TOL, name="identity"):
     """Compare two band operators on the full basis of H_band, with outputs
-    in the common grown band.
+    in the common grown band, for a report that prints its residual.
 
     Both sides act on the probes of their common degree.  A difference that
     vanishes on every window holds with residual 0; any other is scattered
     into its dense matrix, so its report is exactly the dense route's.
     """
-    if lhs.antilinear != rhs.antilinear:
-        raise ValueError("cannot compare operators of different linearity type")
-    degree = max(lhs.degree, rhs.degree)
-    la, ra = _probe_windows([lhs, rhs], band, degree, lhs.flip)
+    la, ra = _probe_windows([lhs, rhs], band)
     diff = la - ra
     if not diff.any():
         return ConditionReport(name, True, None, {"band": band, "max_basis_residual": 0.0})
-    return _difference_report(name, _scatter(diff, band, degree, lhs.flip, band + degree), band, tol)
+    return _difference_report(name, _scatter(diff, band, lhs.flip), band, tol)
 
 
-def operators_equal(lhs, rhs, band, tol=1e-9):
+def _vanishes(op, band, tol):
+    """op = 0 on H_band, decided on its own probe windows (freed on return)."""
+    (windows,) = _probe_windows([op], band)
+    return _largest_column(windows) <= tol
+
+
+def _norm(op, band):
+    """Operator 2-norm of op on H_band, from its dense matrix: only for a
+    number that a report prints."""
+    (windows,) = _probe_windows([op], band)
+    return _operator_norm(_scatter(windows, band, op.flip))
+
+
+def operators_equal(lhs, rhs, band, tol=DEFAULT_TOL):
     return operator_identity(lhs, rhs, band, tol).holds
 
 
@@ -473,12 +485,11 @@ def scalar_family(extended=False):
 
 def multiplier_family():
     """Matrix trig polynomials used for the conjugation-table identities."""
-    fam = [
+    return [
         ("sigma2*u", trig_monomial((1, 0), S2)),
         ("sigma1", trig_monomial((0, 0), S1)),
         ("mix", TorusVector(1, _mix_coeffs())),
     ]
-    return fam
 
 
 def _mix_coeffs():
@@ -518,24 +529,22 @@ def _order_commutators(order, dirac, j, family):
 
 def _order_condition(name, dirac, j, family, band, tol):
     """Zeroth/first/second order condition over a scalar-monomial family
-    (see ``_order_commutators``).  Each commutator is a band operator tested
-    against zero by ``operator_identity``; the first violating pair in scan
-    order is the witness and its norm is the operator norm of the commutator.
+    (see ``_order_commutators``).  Each commutator is decided on its own probe
+    windows; the first violating pair in scan order is the witness, and its
+    norm, the operator norm of the commutator, is the one dense evaluation.
     """
     order = 0 if name.endswith("order_zero") else (1 if name.endswith("order_one") else 2)
     first = None
     violations = 0
     for a, b, comm in _order_commutators(order, dirac, j, family):
-        rep = operator_identity(comm, zero_op(comm.degree), band, tol)
-        if not rep.holds:
+        if not _vanishes(comm, band, tol):
             violations += 1
             if first is None:
-                first = Witness((a, b), None, rep.witness.norm)
-    if first is None:
-        return ConditionReport(name, True, None, {"family_size": len(family)})
-    return ConditionReport(
-        name, False, first, {"family_size": len(family), "violations": violations}
-    )
+                first = Witness((a, b), None, _norm(comm, band))
+    details = {"family_size": len(family)}
+    if first is not None:
+        details["violations"] = violations
+    return ConditionReport(name, first is None, first, details)
 
 
 def zero_op(degree=0, antilinear=False):
@@ -548,21 +557,22 @@ def zero_op(degree=0, antilinear=False):
 
 
 def _sign_identity(name, lhs, rhs, band, tol):
-    """Detect lhs = +- rhs as band operators: +1, -1, or undefined.
+    """Detect lhs = +- rhs as band operators: (+1, -1 or None, report).
 
-    Each side is evaluated once; lhs = rhs is tested on la - ra and
-    lhs = -rhs on la + ra.
+    Both sides are evaluated once; lhs = rhs is decided on the windows la - ra
+    and lhs = -rhs on la + ra.  Only when neither holds are both differences
+    scattered into dense matrices, for the residual that the report prints.
     """
-    la, ra = _both_sides(lhs, rhs, band)
-    plus = _difference_report(name, la - ra, band, tol)
-    minus = _difference_report(name, la + ra, band, tol)
-    if plus.holds and minus.holds:
-        return None, True, ConditionReport(name, False, None, {"value": None, "degenerate": True})
-    if plus.holds or minus.holds:
-        v = 1 if plus.holds else -1
-        return v, False, ConditionReport(name, True, None, {"value": v})
-    norm = min(plus.witness.norm, minus.witness.norm)
-    return None, False, ConditionReport(
+    la, ra = _probe_windows([lhs, rhs], band)
+    plus = _largest_column(la - ra) <= tol
+    minus = _largest_column(la + ra) <= tol
+    if plus and minus:
+        return None, ConditionReport(name, False, None, {"value": None, "degenerate": True})
+    if plus or minus:
+        v = 1 if plus else -1
+        return v, ConditionReport(name, True, None, {"value": v})
+    norm = min(_operator_norm(_scatter(diff, band, lhs.flip)) for diff in (la - ra, la + ra))
+    return None, ConditionReport(
         name, False, Witness(None, None, norm), {"value": None, "residual": norm}
     )
 
@@ -695,14 +705,14 @@ for _tag in ("diag", "antidiag", "offband"):
     )
 
 
-def run_torus_suite(band, tol=1e-9, unitaries=None):
+def run_torus_suite(band, tol=DEFAULT_TOL, unitaries=None):
     """Execute every torus check at the given band; MIN_BAND <= band <= MAX_BAND
-    (the orientation cycle needs two mode shifts of headroom, and the dense
-    evaluation grows as band^4)."""
+    (the orientation cycle needs two mode shifts of headroom, and the probe
+    images of the high-degree commutators grow with the band)."""
     if band < MIN_BAND:
         raise ValueError(f"band must be >= {MIN_BAND} (orientation cycle headroom)")
     if band > MAX_BAND:
-        raise ValueError(f"band must be <= {MAX_BAND} (dense evaluation grows as band^4)")
+        raise ValueError(f"band must be <= {MAX_BAND} (probe images grow with the band)")
     reports = []
     d = dirac_op()
     gam = grading_op()
@@ -712,17 +722,22 @@ def run_torus_suite(band, tol=1e-9, unitaries=None):
     u_mon = trig_monomial((1, 0), S0)
     v_mon = trig_monomial((0, 1), S0)
 
-    def check(name, lhs, rhs, tolerance=tol):
-        reports.append(operator_identity(lhs, rhs, band, tolerance, name))
+    def check(name, lhs, rhs):
+        reports.append(operator_identity(lhs, rhs, band, tol, name))
+
+    def sign(name, lhs, rhs):
+        value, rep = _sign_identity(name, lhs, rhs, band, tol)
+        reports.append(rep)
+        return value
 
     # grading axioms for gamma a = sigma3 a sigma3
     reports.append(_adjoint_identity("grading_self_adjoint", gam, gam, band, tol))
     check("grading_involutive", gam @ gam, ident)
     worst = None
     for label, f in fam:
-        rep = operator_identity(commutator_op(gam, left_mult(f)), zero_op(f.band), band, tol)
-        if not rep.holds and worst is None:
-            worst = Witness((label,), None, rep.witness.norm)
+        comm = commutator_op(gam, left_mult(f))
+        if worst is None and not _vanishes(comm, band, tol):
+            worst = Witness((label,), None, _norm(comm, band))
     reports.append(
         ConditionReport("grading_commutes_algebra", worst is None, worst, {"family_size": len(fam)})
     )
@@ -756,32 +771,20 @@ def run_torus_suite(band, tol=1e-9, unitaries=None):
     reports.append(_order_condition("j1_order_one", d, j1, fam, band, tol))
     reports.append(_order_condition("j1_order_two", d, j1, fam, band, tol))
 
-    e1, _, rep = _sign_identity("sign_eps_j1", j1 @ j1, ident, band, tol)
-    reports.append(rep)
-    ep1, _, rep = _sign_identity("sign_eps_prime_j1", j1 @ d, d @ j1, band, tol)
-    reports.append(rep)
-    epp1, _, rep = _sign_identity("sign_eps_double_prime_j1", j1 @ gam, gam @ j1, band, tol)
-    reports.append(rep)
-    if None not in (e1, ep1, epp1):
-        ko = ko_dimensions(e1, ep1, epp1)
-        reports.append(
-            ConditionReport("ko_j1_contains_0", 0 in ko, None, {"ko_set": sorted(ko)})
-        )
-    else:
-        reports.append(ConditionReport("ko_j1_contains_0", False, None, {"ko_set": None}))
+    e1 = sign("sign_eps_j1", j1 @ j1, ident)
+    ep1 = sign("sign_eps_prime_j1", j1 @ d, d @ j1)
+    epp1 = sign("sign_eps_double_prime_j1", j1 @ gam, gam @ j1)
+    ko = sorted(ko_dimensions(e1, ep1, epp1)) if None not in (e1, ep1, epp1) else None
+    reports.append(ConditionReport("ko_j1_contains_0", ko is not None and 0 in ko, None, {"ko_set": ko}))
 
     # Prop 10: untwisted J2 has no eps'; the twist repairs it
-    ep2, _, rep = _sign_identity("sign_eps_prime_j2_untwisted", j2 @ d, d @ j2, band, tol)
-    reports.append(rep)
+    sign("sign_eps_prime_j2_untwisted", j2 @ d, d @ j2)
     reports.append(_order_condition("j2_order_zero", d, j2, fam, band, tol))
     reports.append(_order_condition("j2_order_one", d, j2, fam, band, tol))
     reports.append(_order_condition("j2_order_two", d, j2, fam, band, tol))
-    _, _, rep = _sign_identity("sign_eps_prime_j2_twisted", tau @ j2 @ d, d @ j2 @ tau, band, tol)
-    reports.append(rep)
-    _, _, rep = _sign_identity("sign_eps_j2", j2 @ j2, ident, band, tol)
-    reports.append(rep)
-    _, _, rep = _sign_identity("sign_eps_double_prime_j2", j2 @ gam, gam @ j2, band, tol)
-    reports.append(rep)
+    sign("sign_eps_prime_j2_twisted", tau @ j2 @ d, d @ j2 @ tau)
+    sign("sign_eps_j2", j2 @ j2, ident)
+    sign("sign_eps_double_prime_j2", j2 @ gam, gam @ j2)
 
     # the conjugation table
     for label, m in multiplier_family():
@@ -818,16 +821,11 @@ def run_torus_suite(band, tol=1e-9, unitaries=None):
         # the quantification family to the generators for those to keep the
         # suite inside its time budget (verdicts are band-exact either way)
         fam_u = fam if u.band == 0 else fam[:3]
-        reports.append(
-            _order_condition(f"prop12_{tag}_order_two", d, ju, fam_u, band, tol)
-        )
+        reports.append(_order_condition(f"prop12_{tag}_order_two", d, ju, fam_u, band, tol))
         # the twisted relation tau_U J_U D = eps' D J_U tau_U holds with a
         # definite sign (measured -1 with the paper's displayed gamma-carrying
         # J's; the gamma-flipped choice gives +1, same KO column)
-        _, _, rep = _sign_identity(
-            f"prop12_{tag}_twisted_intertwine", tu @ ju @ d, d @ ju @ tu, band, tol
-        )
-        reports.append(rep)
+        sign(f"prop12_{tag}_twisted_intertwine", tu @ ju @ d, d @ ju @ tu)
         check(f"prop12_{tag}_commutes_grading", ju @ gam - gam @ ju, zero_op(ju.degree, antilinear=True))
         check(f"prop12_{tag}_tau_squared", tu @ tu, ident)
         check(f"prop12_{tag}_tau_commutes_ju", tu @ ju - ju @ tu, zero_op(ju.degree + tu.degree, antilinear=True))
@@ -841,47 +839,48 @@ def run_torus_suite(band, tol=1e-9, unitaries=None):
     # R_{sigma1} in the commutant, while the orientation grading L_{sigma3}
     # does commute (generator-level evidence, not a closure computation)
     rs1 = right_mult(trig_monomial((0, 0), S1))
-    bad = operator_identity(commutator_op(gam, rs1), zero_op(), band, tol)
+    bad = commutator_op(gam, rs1)
+    bad_commutes = _vanishes(bad, band, tol)
     ls3 = left_mult(trig_monomial((0, 0), S3))
-    good = operator_identity(commutator_op(ls3, rs1), zero_op(), band, tol)
+    good = _vanishes(commutator_op(ls3, rs1), band, tol)
     reports.append(
         ConditionReport(
             "gamma_conj_outside_clifford_evidence",
-            (not bad.holds) and good.holds,
+            (not bad_commutes) and good,
             None,
             {
-                "conj_grading_commutator_norm": bad.witness.norm if bad.witness else 0.0,
-                "orientation_grading_commutes": good.holds,
+                "conj_grading_commutator_norm": 0.0 if bad_commutes else _norm(bad, band),
+                "orientation_grading_commutes": good,
             },
         )
     )
     # L_{sigma3} satisfies the grading axioms over the scalar algebra
     ax = [
-        operator_identity(ls3 @ ls3, ident, band, tol),
-        _adjoint_identity("", ls3, ls3, band, tol),
-        operator_identity(ls3 @ d + d @ ls3, zero_op(), band, tol),
+        _vanishes(ls3 @ ls3 - ident, band, tol),
+        _adjoint_identity("", ls3, ls3, band, tol).holds,
+        _vanishes(ls3 @ d + d @ ls3, band, tol),
     ]
-    com_ok = all(
-        operator_identity(commutator_op(ls3, left_mult(f)), zero_op(f.band), band, tol).holds
-        for _, f in fam
-    )
+    com_ok = all(_vanishes(commutator_op(ls3, left_mult(f)), band, tol) for _, f in fam)
     reports.append(
         ConditionReport(
             "gamma_sigma3_orientation_axioms",
-            all(r.holds for r in ax) and com_ok,
+            all(ax) and com_ok,
             None,
-            {"squares_to_one": ax[0].holds, "self_adjoint": ax[1].holds,
-             "anticommutes_dirac": ax[2].holds, "commutes_algebra": com_ok},
+            {"squares_to_one": ax[0], "self_adjoint": ax[1],
+             "anticommutes_dirac": ax[2], "commutes_algebra": com_ok},
         )
     )
     return reports
 
 
 def _adjoint_identity(name, op, expected_adjoint, band, tol):
-    """<op u, w> = <u, expected_adjoint w> over the band basis."""
-    la, ra = _both_sides(op, expected_adjoint, band)
-    embed = op_matrix(identity_op(), band, band + max(op.degree, expected_adjoint.degree))
-    gram_left = la.conj().T @ embed  # <op u_i, u_j>
-    gram_right = embed.conj().T @ ra  # <u_i, A* u_j>
-    defect = float(np.abs(gram_left - gram_right).max())
+    """<op u, w> = <u, expected_adjoint w> over the band basis, for linear
+    band-preserving operators: their matrices are block diagonal, and window
+    entry [a, b, f, 0, 0, g] is the entry (g, f) of the 4x4 block at mode
+    (a, b), so each block of expected_adjoint must be op's conjugate transpose.
+    """
+    if op.antilinear or expected_adjoint.antilinear or op.degree or expected_adjoint.degree:
+        raise ValueError("adjoint identities need linear band-preserving operators")
+    la, ra = _probe_windows([op, expected_adjoint], band)
+    defect = float(np.abs(la.conj() - np.swapaxes(ra, 2, 5)).max())
     return ConditionReport(name or "adjoint_identity", defect <= tol, None, {"defect": defect})

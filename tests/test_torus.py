@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from nccheck import torus
 from nccheck.numlin import PAULI
 from nccheck.torus import (
     MIN_BAND,
     TORUS_EXPECTED,
     BandOp,
     TorusVector,
+    _adjoint_identity,
     _difference_report,
     _order_commutators,
+    _sign_identity,
     commutator_op,
     default_prop12_unitaries,
     dirac_op,
@@ -326,6 +329,54 @@ def test_probe_identity_matches_dense_route(band):
     assert [r.holds for r in verdicts] == [False] * 4 + [True] * 2
     assert verdicts[4].details["max_basis_residual"] > 0
     assert verdicts[5].details["max_basis_residual"] == 0
+
+    # signs, decided on the windows of lhs -+ rhs, against the dense differences
+    gam, tau = grading_op(), twist_op()
+    values = []
+    for lhs, rhs in [(j1 @ j1, identity_op()), (j1 @ d, d @ j1), (j2 @ d, d @ j2), (tau @ j2 @ d, d @ j2 @ tau)]:
+        out_band = band + max(lhs.degree, rhs.degree)
+        la, ra = (_identity_stack_matrix(op, band, out_band) for op in (lhs, rhs))
+        plus, minus = (_difference_report("x", m, band, 1e-9) for m in (la - ra, la + ra))
+        value, rep = _sign_identity("x", lhs, rhs, band, 1e-9)
+        assert value == (None if plus.holds == minus.holds else 1 if plus.holds else -1)
+        assert rep.details.get("degenerate", False) == (plus.holds and minus.holds)
+        residual = None if plus.holds or minus.holds else min(plus.witness.norm, minus.witness.norm)
+        assert rep.details.get("residual") == residual
+        values.append(value)
+    assert values == [1, -1, None, -1]
+
+    # adjoints, from the degree-0 windows, against the identity embedding
+    f0, g0 = _random_multiplier(rng, 0), _random_multiplier(rng, 0)
+    embed = _identity_stack_matrix(identity_op(), band)
+    holds = []
+    for op, adj in [(gam, gam), (d, d), (left_mult(f0), left_mult(trig_adjoint(f0))), (left_mult(f0), left_mult(g0))]:
+        la, ra = (_identity_stack_matrix(x, band) for x in (op, adj))
+        rep = _adjoint_identity("x", op, adj, band, 1e-9)
+        assert rep.details["defect"] == float(np.abs(la.conj().T @ embed - embed.conj().T @ ra).max())
+        holds.append(rep.holds)
+    assert holds == [True, True, True, False]
+    with pytest.raises(ValueError):
+        _adjoint_identity("x", left_mult(f), left_mult(trig_adjoint(f)), band, 1e-9)
+
+
+def test_suite_builds_dense_matrices_only_for_printed_numbers(monkeypatch):
+    # the first j1_order_two violation, the conj-grading commutator norm and
+    # both differences of the untwisted J2 sign; every verdict is decided on
+    # the probe windows
+    calls, real = [], torus._scatter
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def never(*args, **kwargs):
+        raise AssertionError("op_matrix was called")
+
+    monkeypatch.setattr(torus, "_scatter", counting)
+    monkeypatch.setattr(torus, "op_matrix", never)
+    reports = run_torus_suite(3)
+    assert len(calls) == 4
+    assert {r.name: r.holds for r in reports} == TORUS_EXPECTED
 
 
 
