@@ -191,7 +191,6 @@ def cmd_product(args):
         lemma_21b_check,
         lemma_25_check,
         one_forms_decomposition_check,
-        plain_vs_koszul_order_two,
         product_sign_check,
         product_triple,
     )
@@ -231,13 +230,17 @@ def cmd_product(args):
                 modes[other].share_derived(prod)
                 koszul = modes["koszul"]
                 checks.append(lemma_25_check(t1, t2, koszul, tol).to_dict())
-                kos, plain = plain_vs_koszul_order_two(t1, t2, tol, koszul, modes["plain"])
+                # _triple_checks has checked order two for --j-mode already
+                orders = {
+                    args.j_mode: next(c for c in checks if c["name"] == "order_two"),
+                    other: check_order_two(modes[other], tol).to_dict(),
+                }
                 checks.append(
                     {
                         "name": "prop22_koszul_order_two",
-                        "holds": kos.holds,
-                        "witness": kos.witness.to_dict(False) if kos.witness else None,
-                        "details": {"plain_mode_order_two": plain.holds},
+                        "holds": orders["koszul"]["holds"],
+                        "witness": orders["koszul"]["witness"],
+                        "details": {"plain_mode_order_two": orders["plain"]["holds"]},
                     }
                 )
                 checks.append(product_sign_check(t1, t2, tol, koszul).to_dict())

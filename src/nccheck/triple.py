@@ -222,10 +222,14 @@ def one_forms(t):
         basis = t.algebra_basis()
         n = t.hilbert_dim
         db = t.dirac @ basis - basis @ t.dirac
-        stack = np.vstack(list(pairwise_products(basis, db)))
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("matrix has non-finite entries")
-        t._derived["one_forms"] = MatrixSubspace(n, orthonormalize_rows(stack, t.tol))
+        # each block of products is spanned relative to the rows kept so
+        # far, so no more than one block is held at a time
+        vecs = np.zeros((0, n * n), dtype=complex)
+        for block in pairwise_products(basis, db):
+            if not np.all(np.isfinite(block)):
+                raise ValueError("matrix has non-finite entries")
+            vecs = np.vstack([vecs, orthonormalize_rows(block, t.tol, against=vecs)])
+        t._derived["one_forms"] = MatrixSubspace(n, vecs)
     return t._derived["one_forms"]
 
 
@@ -282,6 +286,8 @@ def _order_check(name, left_list, right_list, tol):
     for i, x in enumerate(left_list):
         for jdx, y in enumerate(right_list):
             c = commutator(x, y)
+            if np.linalg.norm(c) <= tol:  # the Frobenius norm bounds opnorm
+                continue
             nrm = opnorm(c)
             if nrm > tol:
                 violations += 1

@@ -273,6 +273,36 @@ def test_product_command_builds_each_product_once(monkeypatch, capsys):
     assert sorted(calls) == ["koszul", "plain"]
 
 
+@pytest.mark.parametrize("mode", ["koszul", "plain"])
+def test_product_command_checks_order_two_once_per_product(monkeypatch, capsys, mode):
+    # Prop 22 reuses the --j-mode product's order-two report and checks only
+    # the other product's
+    from nccheck import cli
+    from nccheck.product import plain_vs_koszul_order_two
+    from nccheck.serialize import triple_from_document
+
+    calls = []
+    real = cli.check_order_two
+
+    def counted(t, tol=None):
+        calls.append(t)
+        return real(t, tol)
+
+    monkeypatch.setattr(cli, "check_order_two", counted)
+    mixed = [os.path.join(GOLDEN, f"mixed_{i}.json") for i in (1, 2)]
+    assert cli.main(["product", *mixed, "--j-mode", mode, "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    t1, t2 = (triple_from_document(json.load(open(p))) for p in mixed)
+    kos, plain = plain_vs_koszul_order_two(t1, t2)
+    assert checks["prop22_koszul_order_two"] == {
+        "name": "prop22_koszul_order_two",
+        "holds": kos.holds,
+        "witness": kos.witness.to_dict(False) if kos.witness else None,
+        "details": {"plain_mode_order_two": plain.holds},
+    }
+
+
 def test_product_command_writes_document(tmp_path):
     out = tmp_path / "prod.json"
     proc = run_cli(

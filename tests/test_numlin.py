@@ -155,6 +155,109 @@ def test_orthonormalize_rows_matches_svd():
     assert np.allclose(_row_projector(np.vstack([against, rel])), _row_projector(vh[:rank]), atol=1e-10)
 
 
+def _row_by_row(vecs, tol, against=None):
+    """The row-by-row two-pass Gram-Schmidt the panel kernel replaced: each
+    row is projected off ``against`` and the accepted rows with two GEMVs
+    each, twice."""
+    vecs = np.ascontiguousarray(vecs, dtype=np.complex128)
+    m, d = vecs.shape
+    if against is None or against.shape[0] == 0:
+        against = np.zeros((0, d), dtype=np.complex128)
+    against_conj = against.conj()
+    out = np.empty((m, d), dtype=np.complex128)
+    count = 0
+    for r in range(m):
+        v = vecs[r].copy()
+        for _ in range(2):
+            if against.shape[0]:
+                v -= against_conj.dot(v).dot(against)
+            if count:
+                v -= np.conj(out[:count].dot(v.conj())).dot(out[:count])
+        nrm = np.linalg.norm(v)
+        if nrm > tol:
+            out[count] = v / nrm
+            count += 1
+    return out[:count].copy()
+
+
+def _complex_rows(rng, m, d):
+    return rng.standard_normal((m, d)) + 1j * rng.standard_normal((m, d))
+
+
+def _assert_panel_kernel_matches_row_by_row(vecs, tol, against=None):
+    new = _kernels.orthonormalize_rows(vecs, tol, against=against)
+    old = _row_by_row(vecs, tol, against=against)
+    assert new.shape == old.shape  # the same rows accepted ...
+    np.testing.assert_allclose(new, old, rtol=0, atol=1e-10)  # ... as the same residuals
+    return new
+
+
+_P = _kernels._PANEL_ROWS
+_PANEL_SIZES = [0, 1, _P - 1, _P, _P + 1, 3 * _P + 5]
+
+
+@pytest.mark.parametrize("with_against", [False, True])
+@pytest.mark.parametrize("m", _PANEL_SIZES)
+def test_panel_kernel_matches_row_by_row(m, with_against):
+    rng = np.random.default_rng(1000 + m)
+    d = 80  # 3P + 5 rows overflow C^80, so later panels drop whole rows
+    against = None
+    if with_against:
+        against = np.linalg.qr(_complex_rows(rng, d, 7))[0].T
+    vecs = _complex_rows(rng, m, d)
+    if m > 4:
+        # rank-deficient rows: an exact duplicate, a zero row, a combination
+        # of rows of the same and of an earlier panel, a row of span(against)
+        vecs[m // 2] = vecs[1]
+        vecs[m - 1] = 0
+        vecs[m - 2] = 2 * vecs[0] - 1j * vecs[m - 4]
+        if against is not None:
+            vecs[m - 3] = (1 + 1j) * against[2] - against[5]
+    out = _assert_panel_kernel_matches_row_by_row(vecs, 1e-9, against)
+    prior = np.zeros((0, d)) if against is None else against
+    assert out.shape == (np.linalg.matrix_rank(np.vstack([prior, vecs])) - len(prior), d)
+    np.testing.assert_allclose(out @ out.conj().T, np.eye(out.shape[0]), atol=1e-12)
+    if against is not None:
+        np.testing.assert_allclose(out @ against.conj().T, 0, atol=1e-12)
+
+
+@pytest.mark.parametrize("with_against", [False, True])
+def test_panel_kernel_keeps_rank_decisions_at_the_tolerance(with_against):
+    # every third row lies at 0.1 tol or 10 tol from the span of the rows
+    # before it (and of ``against``); the first are dropped, the second kept
+    rng = np.random.default_rng(7)
+    tol, d, m = 1e-5, 120, 3 * _P + 5
+    frame = np.linalg.qr(_complex_rows(rng, d, d).T)[0].T  # orthonormal rows
+    against = frame[:5] if with_against else None
+    vecs = np.empty((m, d), dtype=complex)
+    fresh = iter(frame[5:])
+    near, far = 0, 0
+    for r in range(m):
+        if r % 3 != 2:
+            vecs[r] = next(fresh)
+            continue
+        # in the span of rows r // 2 and r - 1 (and of ``against``)
+        base = vecs[r // 2] - 1j * vecs[r - 1] + (frame[0] if with_against else 0)
+        off = frame[-1 - r // 3]  # orthogonal to every row and to ``against``
+        near_row = r % 2 == 0
+        near, far = near + near_row, far + (not near_row)
+        vecs[r] = base + (0.1 if near_row else 10.0) * tol * off
+    out = _assert_panel_kernel_matches_row_by_row(vecs, tol, against)
+    assert out.shape[0] == m - near and far > 0 and near > 0
+
+
+def test_panel_kernel_takes_non_contiguous_input():
+    rng = np.random.default_rng(3)
+    big = _complex_rows(rng, 2 * (_P + 3), 3 * 40)
+    vecs = big[::2, ::3]  # P + 3 strided rows in C^40
+    assert not vecs.flags.c_contiguous
+    against = np.asfortranarray(np.linalg.qr(_complex_rows(rng, 40, 4))[0].T)
+    _assert_panel_kernel_matches_row_by_row(vecs, 1e-9, against)
+    _assert_panel_kernel_matches_row_by_row(np.asfortranarray(vecs.real), 1e-9)
+    empty = np.zeros((0, 40), dtype=complex)
+    _assert_panel_kernel_matches_row_by_row(vecs, 1e-9, empty)
+
+
 def test_antilinear_operator_requires_unitary_kernel():
     with pytest.raises(ValueError):
         AntilinearOperator(np.diag([1.0, 2.0]).astype(complex))

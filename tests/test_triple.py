@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from nccheck import triple as triple_mod
 from nccheck.algebra import generate_star_algebra
 from nccheck.catalog import example_evenspin, example_hodge_m2, random_triple
 from nccheck.numlin import PAULI, AntilinearOperator, opnorm, subspace_equal
@@ -236,3 +237,60 @@ def test_clifford_from_generators_matches_basis_family(name):
     ref = generate_star_algebra(list(cl.basis_matrices()) + [t.grading], True, t.tol)
     assert clg.dim == ref.dim and subspace_equal(clg.subspace, ref.subspace)
     assert clg.closure_defect() <= t.tol
+
+
+def _order_check_every_svd(name, left_list, right_list, tol):
+    """The order-check loop before the Frobenius pre-screen: one SVD norm
+    per pair."""
+    first, worst, violations = None, 0.0, 0
+    for i, x in enumerate(left_list):
+        for jdx, y in enumerate(right_list):
+            c = x @ y - y @ x
+            nrm = opnorm(c)
+            if nrm > tol:
+                violations += 1
+                worst = max(worst, nrm)
+                if first is None:
+                    first = triple_mod.Witness((i, jdx), c, nrm)
+    details = {"pairs": len(left_list) * len(right_list)}
+    if first is None:
+        return triple_mod.ConditionReport(name, True, None, details)
+    details.update({"violations": violations, "max_norm": worst})
+    return triple_mod.ConditionReport(name, False, first, details)
+
+
+@pytest.mark.parametrize("mode, violations", [("plain", 112), ("koszul", 0)])
+def test_order_check_takes_svd_norms_of_violations_only(monkeypatch, mode, violations):
+    # the Frobenius norm bounds the operator norm, so only pairs above tol
+    # by Frobenius need an SVD; on the evenspin^2 products each of them is a
+    # violation, and the reports keep their bytes
+    t = product_triple(_golden_triple("evenspin_pair_1.json"),
+                       _golden_triple("evenspin_pair_2.json"), mode)
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return opnorm(m)
+
+    monkeypatch.setattr(triple_mod, "_order_check", _order_check_every_svd)
+    before = check_order_two(t).to_dict(include_matrix=True)
+    monkeypatch.undo()
+    monkeypatch.setattr(triple_mod, "opnorm", counted)
+    after = check_order_two(t)
+    assert len(calls) == after.details.get("violations", 0) == violations
+    assert after.details["pairs"] == 256
+    assert after.to_dict(include_matrix=True) == before
+
+
+@pytest.mark.parametrize("name", ["hodge_m2.json", "mixed_1.json x mixed_2.json"])
+def test_one_forms_spanned_block_by_block(monkeypatch, name):
+    # with one left factor per block of products, each block is spanned
+    # relative to the rows kept before it: the same greedy rows as one block
+    from nccheck import algebra
+
+    whole = one_forms(_golden_triple(name)).vecs
+    t = _golden_triple(name)
+    k, n = t.algebra().dim, t.hilbert_dim
+    monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", k * n * n)
+    assert len(list(algebra.pairwise_products(t.algebra_basis()))) == k
+    np.testing.assert_allclose(one_forms(t).vecs, whole, rtol=0, atol=1e-10)
