@@ -39,20 +39,6 @@ class OperatorAlgebra:
     def basis_matrices(self):
         return self.subspace.basis_matrices()
 
-    def closure_defect(self, tol=DEFAULT_TOL):
-        """Max residual of pairwise products and adjoints against the span.
-
-        Zero (within tol) certifies the product/adjoint closure invariants.
-        """
-        basis = self.basis_matrices()
-        k = basis.shape[0]
-        if k == 0:
-            return 0.0
-        vecs = self.subspace.vecs
-        adjs = np.conj(np.transpose(basis, (0, 2, 1))).reshape(k, -1)
-        res = max(residual_norms(p, vecs).max() for p in pairwise_products(basis))
-        return float(max(res, residual_norms(adjs, vecs).max()))
-
 
 # Entries of one block of pairwise products (32 MiB of complex128): large
 # enough for an efficient GEMM, small enough that closing an algebra of
@@ -183,9 +169,10 @@ def commutant(b, tol=DEFAULT_TOL):
 
 
 _SEPARATION_DRAWS = 4  # random central elements commutant_dimension tries
+_SEPARATION_SEED = 7  # seed of those draws
 
 
-def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
+def commutant_dimension(b, tol=DEFAULT_TOL):
     """dim of the commutant of a *-closed unital algebra, without a basis.
 
     Uses the finite-dimensional structure theory: decompose H under the
@@ -212,7 +199,7 @@ def commutant_dimension(b, tol=DEFAULT_TOL, rng_seed=7):
     # generic Hermitian central element separates the isotypic blocks: it is
     # a distinct scalar on each one, so its eigenspaces are the blocks; a draw
     # can miss (probability zero, but not under rounding), so it is redrawn
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_SEPARATION_SEED)
     for _ in range(_SEPARATION_DRAWS):
         w = rng.standard_normal(c) + 1j * rng.standard_normal(c)
         z = ((w @ center_coeff) @ flat).reshape(n, n)

@@ -112,37 +112,29 @@ def example_evenspin_pair():
     return t1, t2, witness
 
 
-def random_triple(seed, dim_bounds=(2, 4), with_grading=True, with_real=True):
-    """Seeded random triple guaranteeing only the type invariants.
+def random_triple(seed):
+    """Seeded random triple on C^n, 2 <= n <= 4, guaranteeing only the type
+    invariants.
 
-    Gradings are block diagonal diag(1_p, -1_q); generators are then drawn
+    The grading is block diagonal diag(1_p, -1_q); generators are then drawn
     block diagonal (even) and the Dirac block off-diagonal (odd), so the
-    construction always validates strictly.
+    construction always validates strictly.  J = K conj with K = Q Q^T for a
+    random unitary Q, so J^2 = +1.
     """
     rng = np.random.default_rng(seed)
-    lo, hi = dim_bounds
-    n = int(rng.integers(lo, hi + 1))
-    grading = None
-    if with_grading and n >= 2:
-        p = int(rng.integers(1, n))
-        signs = np.concatenate([np.ones(p), -np.ones(n - p)])
-        grading = np.diag(signs).astype(complex)
-        mask_even = (signs[:, None] * signs[None, :]) > 0
-        mask_odd = ~mask_even
+    n = int(rng.integers(2, 5))
+    p = int(rng.integers(1, n))
+    signs = np.concatenate([np.ones(p), -np.ones(n - p)])
+    grading = np.diag(signs).astype(complex)
+    mask_even = (signs[:, None] * signs[None, :]) > 0
     gens = []
     for _ in range(int(rng.integers(1, 3))):
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if grading is not None:
-            g = g * mask_even
-        gens.append(g)
+        gens.append(g * mask_even)
     d = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    d = d + d.conj().T
-    if grading is not None:
-        d = d * mask_odd
-    real = None
-    if with_real:
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-        real = RealStructure(AntilinearOperator(q @ q.T))  # J^2 = +1
+    d = (d + d.conj().T) * ~mask_even
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    real = RealStructure(AntilinearOperator(q @ q.T))
     return FiniteSpectralTriple(
         gens, d, grading=grading, real_structure=real, tol=DEFAULT_TOL, name=f"random[{seed}]"
     )

@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .algebra import _DENSE_COMMUTANT_LIMIT
 from .morita import classify
 from .numlin import DEFAULT_TOL
 from .serialize import (
@@ -47,6 +48,23 @@ def _tolerance(text):
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
     return tol
+
+
+def _at_least(low):
+    """argparse type: an integer >= low."""
+
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return value
+
+    return integer
+
+
+# Largest gct factor size d: the graded product acts on C^(d*d), and its
+# commutant is built densely, on a matrix space of dimension (d*d)^2.
+GCT_DIM_MAX = math.isqrt(math.isqrt(_DENSE_COMMUTANT_LIMIT))
 
 
 def _default_tol():
@@ -399,9 +417,9 @@ def main(argv=None):
     p.set_defaults(fn=cmd_torus)
 
     p = sub.add_parser("gct", help="randomized graded-commutant-theorem trials")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--dim-max", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--dim-max", type=int, choices=range(2, GCT_DIM_MAX + 1), default=4)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--tol", type=_tolerance, default=default_tol)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_gct)

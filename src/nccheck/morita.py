@@ -40,7 +40,7 @@ class MoritaTest:
         }
 
 
-def _basis_pairs(b1, c, tol, want_witness):
+def _basis_pairs(b1, c, tol):
     """(contained, largest Frobenius commutator, witness, its operator norm)
     over the basis pairs of B1 x C, one commutator stack per x serving both
     norms; the witness has the largest operator norm, the first on ties."""
@@ -50,17 +50,16 @@ def _basis_pairs(b1, c, tol, want_witness):
         cms = x @ cb - cb @ x
         frob = np.sqrt((np.abs(cms) ** 2).reshape(len(cb), -1).sum(axis=1).max())
         worst = max(worst, float(frob))
-        if want_witness:
-            norms = np.linalg.norm(cms, 2, axis=(1, 2))
-            i = int(np.argmax(norms))
-            if wres is None or norms[i] > wres:  # a copy, so the stack is freed
-                witness, wres = cms[i].copy(), float(norms[i])
+        norms = np.linalg.norm(cms, 2, axis=(1, 2))
+        i = int(np.argmax(norms))
+        if wres is None or norms[i] > wres:  # a copy, so the stack is freed
+            witness, wres = cms[i].copy(), float(norms[i])
     if worst <= tol:  # generators of norm above 1 can fail where the basis passes
         return True, worst, None, None
     return False, worst, witness, wres
 
 
-def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
+def morita_test(b1, b2, j, tol=DEFAULT_TOL):
     """Test B1 ~_J B2, i.e. B1 = (B2°)' as subspaces.
 
     Containment B1 in (B2°)' is decided on the *-closed generating spans
@@ -81,19 +80,14 @@ def morita_test(b1, b2, j, tol=DEFAULT_TOL, want_witness=True):
     worst = max((w for _, w in results), default=0.0)
     witness = wres = None
     if not contained:
-        contained, worst, witness, wres = _basis_pairs(b1, c, tol, want_witness)
+        contained, worst, witness, wres = _basis_pairs(b1, c, tol)
     dim_cc = commutant_dimension(c, tol)
     equivalent = contained and (b1.dim == dim_cc)
-    if contained and not equivalent and want_witness and b1.ambient_dim ** 2 <= _DENSE_COMMUTANT_LIMIT:
+    if contained and not equivalent and b1.ambient_dim ** 2 <= _DENSE_COMMUTANT_LIMIT:
         found = subspace_witness(commutant(c, tol).subspace, b1.subspace, tol)
         if found is not None:
             witness, wres = found
     return MoritaTest(equivalent, contained, b1.dim, dim_cc, worst, witness, wres)
-
-
-def morita_equivalent_J(b1, b2, j, tol=DEFAULT_TOL):
-    """True iff B1 equals the commutant of circ_image(J, B2)."""
-    return morita_test(b1, b2, j, tol, want_witness=False).equivalent
 
 
 @dataclass

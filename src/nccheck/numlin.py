@@ -54,7 +54,8 @@ def is_unitary(k, tol=DEFAULT_TOL):
 
 
 class AntilinearOperator:
-    """Antilinear map v -> K conj(v) for a unitary kernel K.
+    """Antilinear map v -> K conj(v) for a unitary kernel K (K = 1 is
+    entrywise conjugation).
 
     Stores the kernel only; J^{-1} acts as v -> conj(K^* v).  As linear
     maps, J^2 = K conj(K), and conjugation of a linear operator X is
@@ -70,31 +71,13 @@ class AntilinearOperator:
     def dim(self):
         return self.kernel.shape[0]
 
-    def __call__(self, v):
-        return self.kernel @ np.conj(v)
-
     def squared(self):
         """J^2 as a linear operator (matrix)."""
         return self.kernel @ np.conj(self.kernel)
 
-    def sign_of_square(self, tol=DEFAULT_TOL):
-        """+1 / -1 when J^2 = +-1 within tol, else None."""
-        j2 = self.squared()
-        eye = np.eye(self.dim)
-        if opnorm(j2 - eye) <= tol:
-            return 1
-        if opnorm(j2 + eye) <= tol:
-            return -1
-        return None
-
     def conjugate(self, x):
         """J X J^{-1} for a linear operator X (a linear operator again)."""
         return self.kernel @ np.conj(x) @ self.kernel.conj().T
-
-    @staticmethod
-    def plain_conjugation(n):
-        """Entrywise conjugation on C^n (kernel = identity)."""
-        return AntilinearOperator(np.eye(n, dtype=complex))
 
 
 def circ(j, x):
@@ -152,18 +135,15 @@ class MatrixSubspace:
         return bool(np.all(residual_norms(other.vecs, self.vecs) <= tol))
 
 
-def span(matrices, tol=DEFAULT_TOL, against=None, ambient_dim=None):
+def span(matrices, tol=DEFAULT_TOL, ambient_dim=None):
     """Orthonormal basis of the linear span of the given matrices.
 
     Candidates whose residual after (two-pass) orthogonalization is <= tol
-    are discarded.  ``against`` is an optional MatrixSubspace whose component
-    is projected out first (used by closure loops to grow spans in place).
-    Empty input gives the zero subspace when ambient_dim says where it lives.
+    are discarded.  Empty input gives the zero subspace when ambient_dim says
+    where it lives.
     """
     mats = [as_matrix(m) for m in matrices]
     if not mats:
-        if ambient_dim is None and against is not None:
-            ambient_dim = against.ambient_dim
         if ambient_dim is None:
             raise ValueError("span of empty input with unknown ambient dimension")
         return MatrixSubspace(ambient_dim, np.zeros((0, ambient_dim**2), dtype=complex))
@@ -172,9 +152,7 @@ def span(matrices, tol=DEFAULT_TOL, against=None, ambient_dim=None):
         if m.shape[0] != n:
             raise ValueError("span input matrices have mixed dimensions")
     stack = np.stack([m.reshape(-1) for m in mats])
-    prior = against.vecs if against is not None else None
-    basis = orthonormalize_rows(stack, tol, against=prior)
-    return MatrixSubspace(n, basis)
+    return MatrixSubspace(n, orthonormalize_rows(stack, tol))
 
 
 def subspace_equal(s, t, tol=DEFAULT_TOL):

@@ -47,34 +47,6 @@ def homogeneous_parts(x, gamma):
     return (x + conj) / 2, (x - conj) / 2
 
 
-def operator_degree(x, gamma, tol=DEFAULT_TOL):
-    """0 (even), 1 (odd), or None for a mixed operator."""
-    even, odd = homogeneous_parts(x, gamma)
-    if opnorm(odd) <= tol * (1 + opnorm(x)):
-        return 0
-    if opnorm(even) <= tol * (1 + opnorm(x)):
-        return 1
-    return None
-
-
-def graded_product(a, b, gamma1, gamma2, side="left"):
-    """Koszul graded products on H1 (x) H2.
-
-    left:  (a . b)(v (x) w) = (-1)^{|b||v|} a v (x) b w, i.e. a gamma1^{|b|} (x) b
-    right: (a .' b)(v (x) w) = (-1)^{|a||w|} a v (x) b w, i.e. a (x) b gamma2^{|a|}
-    Mixed inputs are split into homogeneous parts and summed bilinearly.
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if side == "left":
-        b_even, b_odd = homogeneous_parts(b, gamma2)
-        return kron(a, b_even) + kron(a @ gamma1, b_odd)
-    if side == "right":
-        a_even, a_odd = homogeneous_parts(a, gamma1)
-        return kron(a_even, b) + kron(a_odd, b @ gamma2)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
 @dataclass
 class GradedAlgebraPair:
     """Two unital subalgebras with gradings, each invariant under its grading."""
@@ -107,10 +79,11 @@ def graded_algebra(b1, b2, gamma1, gamma2, side="left", tol=DEFAULT_TOL):
     grading-invariant (closure asserted by callers/tests).
 
     The products are the rows of one stack, in row order i * dim b2 + j for
-    x_i and y_j, each equal to ``graded_product(x_i, y_j, ...)``.  The factor
-    whose degree enters the sign rule (b2 for left, b1 for right) is split
-    into homogeneous parts once, every Kronecker product is formed by one
-    broadcast, and the stack is orthonormalised in one call.
+    x_i and y_j, each equal to ``graded_product(x_i, y_j, ...)``, the
+    per-pair definition kept as a test oracle in tests/oracles.py.  The
+    factor whose degree enters the sign rule (b2 for left, b1 for right) is
+    split into homogeneous parts once, every Kronecker product is formed by
+    one broadcast, and the stack is orthonormalised in one call.
     """
     xs = b1.basis_matrices()
     ys = b2.basis_matrices()

@@ -470,16 +470,14 @@ def operators_equal(lhs, rhs, band, tol=DEFAULT_TOL):
 # -- the paper's torus checks ----------------------------------------------
 
 
-def scalar_family(extended=False):
-    """Generator monomials 1, u, v, u*, v* (u^a v^b grid when extended).
+def scalar_family():
+    """Generator monomials 1, u, v, u*, v*.
 
     Ordered so that the first second-order violation found for J1 is the
     generator pair (u, v) with commutator 2i L_{sigma3} of norm 2.  The
     infinite-dimensional algebra is represented by generator-level evidence.
     """
     order = [(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)]
-    if extended:
-        order += [(1, 1), (1, -1), (-1, 1), (-1, -1)]
     return [(f"u^{a}v^{b}", trig_monomial((a, b), S0)) for a, b in order]
 
 
@@ -705,7 +703,7 @@ for _tag in ("diag", "antidiag", "offband"):
     )
 
 
-def run_torus_suite(band, tol=DEFAULT_TOL, unitaries=None):
+def run_torus_suite(band, tol=DEFAULT_TOL):
     """Execute every torus check at the given band; MIN_BAND <= band <= MAX_BAND
     (the orientation cycle needs two mode shifts of headroom, and the probe
     images of the high-degree commutators grow with the band)."""
@@ -813,7 +811,7 @@ def run_torus_suite(band, tol=DEFAULT_TOL, unitaries=None):
                     prev.witness = got.witness
 
     # Prop 12 family
-    for tag, u in unitaries or default_prop12_unitaries():
+    for tag, u in default_prop12_unitaries():
         ju = ju_op(u, tol)
         tu = tau_u_op(u, tol)
         check(f"prop12_{tag}_ju_squared", ju @ ju, ident)

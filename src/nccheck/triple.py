@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -455,91 +454,6 @@ def ko_dimensions(eps, eps_prime, eps_double_prime=None):
             if want in choices:
                 out.add(dim)
     return out
-
-
-# -- Hochschild cycles ----------------------------------------------------
-
-
-def _chain_vector(entries):
-    """Tensor-product vector of flattened matrices (canonical basis)."""
-    flats = [np.asarray(e, dtype=complex).reshape(-1) for e in entries]
-    return reduce(np.kron, flats)
-
-
-def hochschild_boundary(chains):
-    """Boundary of a formal sum of (coefficient, (a_0, ..., a_n)) chains.
-
-    b(a_0 x ... x a_n) = sum_{i=0}^{n-1} (-1)^i a_0 x .. x a_i a_{i+1} x .. x a_n
-                         + (-1)^n a_n a_0 x a_1 x ... x a_{n-1}
-    """
-    out = []
-    for coeff, entries in chains:
-        entries = [as_matrix(e) for e in entries]
-        n = len(entries) - 1
-        if n < 1:
-            raise ValueError("boundary needs chain degree >= 1")
-        for i in range(n):
-            merged = entries[:i] + [entries[i] @ entries[i + 1]] + entries[i + 2 :]
-            out.append((coeff * (-1) ** i, merged))
-        wrap = [entries[n] @ entries[0]] + entries[1 : n]
-        out.append((coeff * (-1) ** n, wrap))
-    return out
-
-
-def chains_norm(chains):
-    """Norm of a formal chain sum in the tensor-power coordinates."""
-    if not chains:
-        return 0.0
-    total = None
-    for coeff, entries in chains:
-        v = coeff * _chain_vector(entries)
-        total = v if total is None else total + v
-    return float(np.linalg.norm(total))
-
-
-def check_hochschild_cycle(t, chains, tol=None):
-    """Verify b(c) = 0 and that pi_D(c) = sum a_0 [D,a_1]...[D,a_n] is 1 or gamma.
-
-    Chain entries must lie in the span of the generated algebra.
-    """
-    tol = t.tol if tol is None else tol
-    aspan = t.algebra().subspace
-    for coeff, entries in chains:
-        for e in entries:
-            if not aspan.contains(as_matrix(e), max(tol, 1e-8)):
-                raise ValueError("chain entry outside the span of A")
-    boundary = hochschild_boundary(chains)
-    bnorm = chains_norm(boundary)
-    d = t.dirac
-    rep = np.zeros((t.hilbert_dim, t.hilbert_dim), dtype=complex)
-    for coeff, entries in chains:
-        acc = as_matrix(entries[0]).astype(complex)
-        for a in entries[1:]:
-            acc = acc @ commutator(d, as_matrix(a))
-        rep += coeff * acc
-    res_one = opnorm(rep - np.eye(t.hilbert_dim))
-    res_gamma = opnorm(rep - t.grading) if t.grading is not None else np.inf
-    target = None
-    if bnorm <= tol:
-        if res_one <= tol:
-            target = "one"
-        elif res_gamma <= tol:
-            target = "grading"
-    holds = bnorm <= tol and target is not None
-    witness = None
-    if not holds:
-        witness = Witness(None, rep, max(bnorm, min(res_one, res_gamma)))
-    return ConditionReport(
-        "hochschild_orientation",
-        holds,
-        witness,
-        {
-            "boundary_norm": bnorm,
-            "residual_vs_one": res_one,
-            "residual_vs_grading": None if t.grading is None else res_gamma,
-            "represents": target,
-        },
-    )
 
 
 # -- equivalences (4) and (5) ---------------------------------------------

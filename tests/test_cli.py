@@ -241,6 +241,36 @@ def test_gct_command():
     assert len(rep["trials"]) == 10
 
 
+@pytest.mark.parametrize(
+    "args, option",
+    [(["--dim-max", "1"], "--dim-max"), (["--dim-max", "0"], "--dim-max"),
+     (["--trials", "30", "--dim-max", "7"], "--dim-max"), (["--seed", "-1"], "--seed"),
+     (["--trials", "-3"], "--trials"), (["--trials", "0"], "--trials"),
+     (["--dim-max", "four"], "--dim-max")],
+    ids=["dim_max_1", "dim_max_0", "dim_max_7", "seed_negative", "trials_negative",
+         "trials_zero", "dim_max_text"],
+)
+def test_gct_bad_argument_exits_2_naming_the_option(args, option):
+    proc = run_cli("gct", *args, "--json")
+    assert proc.returncode == 2
+    assert f"argument {option}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_gct_dim_max_limit_follows_the_dense_commutant_limit():
+    # the largest factor size whose graded product's commutant is built
+    # densely; 6 is that size today and must stay accepted
+    from nccheck import cli
+    from nccheck.algebra import _DENSE_COMMUTANT_LIMIT
+
+    d = cli.GCT_DIM_MAX
+    assert (d * d) ** 2 <= _DENSE_COMMUTANT_LIMIT < ((d + 1) * (d + 1)) ** 2
+    proc = run_cli("gct", "--trials", "5", "--dim-max", "6", "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["trials"]) == 5
+
+
 def test_catalog_list_and_golden_export_stable(tmp_path):
     proc = run_cli("catalog", "list")
     assert proc.returncode == 0

@@ -229,7 +229,6 @@ def test_band_exactness_randomized_identities():
 def test_scalar_family_order():
     fam = scalar_family()
     assert [lbl for lbl, _ in fam][:3] == ["u^0v^0", "u^1v^0", "u^0v^1"]
-    assert len(scalar_family(extended=True)) == 9
 
 
 # -- probe evaluation against the identity stack -------------------------------
