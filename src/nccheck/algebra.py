@@ -40,20 +40,19 @@ class OperatorAlgebra:
         return self.subspace.basis_matrices()
 
 
-# Entries of one block of pairwise products (32 MiB of complex128): large
-# enough for an efficient GEMM, small enough that closing an algebra of
-# dimension k on C^n never holds all k^2 n^2 entries at once.
-_PRODUCT_BLOCK_ENTRIES = 1 << 21
+# Entries of one block of pairwise products (8 MiB of complex128).  In a
+# spinning round the block's GEMM result, its transposed copy and the
+# residual filter's two temporaries are alive together, so four blocks set
+# the peak memory of a large closure; each GEMM still has hundreds of rows.
+_PRODUCT_BLOCK_ENTRIES = 1 << 19
 
 
-def pairwise_products(left, right=None):
+def pairwise_products(left, right):
     """Flattened products left[a] @ right[b], in row order a * len(right) + b.
 
     Yields blocks of consecutive rows a; each block is one GEMM of the
     stacked rows of ``left[a0:a1]`` against the side-by-side ``right``.
-    ``right`` defaults to ``left``.
     """
-    right = left if right is None else right
     k, n, _ = right.shape
     side_by_side = right.transpose(1, 0, 2).reshape(n, k * n)  # [j, (b, l)]
     chunk = max(1, _PRODUCT_BLOCK_ENTRIES // (k * n * n))
@@ -66,18 +65,33 @@ def pairwise_products(left, right=None):
         yield block
 
 
+def spin(space, mult, tol):
+    """Close the subspace ``space`` under left multiplication by ``mult``.
+
+    Spinning, the MeatAxe step (R. A. Parker, 1984): each round multiplies
+    only the rows added by the round before (at first all of ``space``) on
+    the left by ``mult`` and orthonormalises the products with a residual
+    > tol against the span into the rows of the next round.
+    """
+    n = space.ambient_dim
+    frontier = space.basis_matrices()
+    while frontier.shape[0] and mult.shape[0] and space.dim < n * n:
+        new = [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(mult, frontier)]
+        extra = orthonormalize_rows(np.vstack(new), tol, against=space.vecs)
+        del new  # free the candidate rows before the grown basis is allocated
+        space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
+        frontier = extra.reshape(-1, n, n)
+    return space
+
+
 def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
     """Smallest *-closed (unital) subalgebra containing the generators.
 
     It is the span of the words s_1 ... s_k in S = generators and adjoints
     (and 1 when unital), *-closed as (s_1 ... s_k)^* = s_k^* ... s_1^*.
-    Closed by spinning, the MeatAxe step (R. A. Parker, 1984): from span(S, 1),
-    each round multiplies only the rows accepted in the previous round (the
-    frontier) on the left by an orthonormal basis of span(S), and
-    orthonormalises the products with a residual against the span into the
-    next frontier.  Every word is s_1 times a shorter one, so the span is
-    closed once a frontier is empty, after at most dim(result) * dim span(S)
-    tested products.  The basis ``mult`` of span(S) is kept as generators.
+    Every word is s_1 times a shorter one, so span(S, 1) spun under an
+    orthonormal basis ``mult`` of span(S) is closed after at most
+    dim(result) * dim span(S) tested products.  ``mult`` is kept as generators.
     """
     gens = [as_matrix(g) for g in generators]
     if not gens:
@@ -89,14 +103,7 @@ def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):
     space = span(gens + ones + adjs, tol)
     if space.dim == 0:
         raise ValueError("span collapsed to zero: tolerance too large for the inputs")
-    frontier = space.basis_matrices()
-    while frontier.shape[0] and mult.shape[0] and space.dim < n * n:
-        new = [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(mult, frontier)]
-        extra = orthonormalize_rows(np.vstack(new), tol, against=space.vecs)
-        del new  # free the candidate rows before the grown basis is allocated
-        space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
-        frontier = extra.reshape(-1, n, n)
-    return OperatorAlgebra(space, unital, mult)
+    return OperatorAlgebra(spin(space, mult, tol), unital, mult)
 
 
 def _basis_stack(b):

@@ -112,14 +112,6 @@ class MatrixSubspace:
         n = self.ambient_dim
         return self.vecs.reshape(self.dim, n, n)
 
-    def project(self, x):
-        """Orthogonal projection of a matrix onto the subspace."""
-        v = np.asarray(x, dtype=complex).reshape(-1)
-        if self.dim == 0:
-            return np.zeros_like(x, dtype=complex)
-        coeff = self.vecs.conj() @ v
-        return (coeff @ self.vecs).reshape(x.shape)
-
     def residual(self, x):
         """Distance from a matrix to the subspace (Frobenius)."""
         v = np.asarray(x, dtype=complex).reshape(1, -1)
@@ -173,9 +165,9 @@ def subspace_witness(big, small, tol=DEFAULT_TOL):
     i = int(np.argmax(res))
     if res[i] <= tol:
         return None
-    n = big.ambient_dim
-    v = big.vecs[i] - small.project(big.vecs[i].reshape(n, n)).reshape(-1)
+    v = big.vecs[i] - (small.vecs.conj() @ big.vecs[i]) @ small.vecs
     v = v / np.linalg.norm(v)
+    n = big.ambient_dim
     return v.reshape(n, n), float(res[i])
 
 

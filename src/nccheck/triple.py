@@ -6,21 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import orthonormalize_rows
-from .algebra import (
-    commutes_with_all,
-    generate_star_algebra,
-    pairwise_products,
-)
+from .algebra import commutes_with_all, generate_star_algebra, spin
 from .numlin import (
     DEFAULT_TOL,
     AntilinearOperator,
-    MatrixSubspace,
     adjoint,
     as_matrix,
     circ,
     commutator,
     opnorm,
+    span,
 )
 
 
@@ -110,6 +105,10 @@ class RealStructure:
             self.twist = t
 
 
+# Largest |D| whose square is a finite float.
+_MAX_DIRAC_NORM = float(np.sqrt(np.finfo(float).max))
+
+
 class FiniteSpectralTriple:
     """(A, H, D, gamma, J, tau) with concrete matrices on H = C^n.
 
@@ -136,12 +135,19 @@ class FiniteSpectralTriple:
         self.tol = float(tol)
         self.name = name
         self.warnings = []
+        if not self.algebra_generators:
+            raise TripleValidationError("algebra_generators_nonempty", "no algebra generators")
         for i, g in enumerate(self.algebra_generators):
             if g.shape[0] != n:
                 raise TripleValidationError(
                     "generator_dimension", f"generator {i} has dim {g.shape[0]}, expected {n}"
                 )
-        if opnorm(self.dirac - adjoint(self.dirac)) > tol * (1 + opnorm(self.dirac)):
+        dirac_norm = opnorm(self.dirac)
+        if not dirac_norm <= _MAX_DIRAC_NORM:  # order-two commutators scale as |D|^2
+            raise TripleValidationError(
+                "dirac_norm_squared_finite", f"|D|^2 overflows a float: |D| = {dirac_norm:.3e}"
+            )
+        if opnorm(self.dirac - adjoint(self.dirac)) > tol * (1 + dirac_norm):
             raise TripleValidationError("dirac_self_adjoint", "D != D^*")
         self.grading = None
         if grading is not None:
@@ -152,7 +158,7 @@ class FiniteSpectralTriple:
                 raise TripleValidationError("grading_self_adjoint", "gamma != gamma^*")
             if opnorm(g @ g - np.eye(n)) > tol:
                 raise TripleValidationError("grading_involutive", "gamma^2 != 1")
-            if opnorm(g @ self.dirac + self.dirac @ g) > tol * (1 + opnorm(self.dirac)):
+            if opnorm(g @ self.dirac + self.dirac @ g) > tol * (1 + dirac_norm):
                 raise TripleValidationError("grading_anticommutes_dirac", "{gamma, D} != 0")
             worst = 0.0
             for a in self.algebra_generators:
@@ -216,19 +222,14 @@ class FiniteSpectralTriple:
 
 
 def one_forms(t):
-    """Omega^1_D(A): span of a [D, b] over the algebra basis."""
+    """Omega^1_D(A) = span{a [D, b]}, spun as the left A-module generated by
+    the [D, b], b over A's basis: A is unital and every a is a word in A's
+    generators, so spinning under the generators reaches every a [D, b]."""
     if "one_forms" not in t._derived:
         basis = t.algebra_basis()
-        n = t.hilbert_dim
-        db = t.dirac @ basis - basis @ t.dirac
-        # each block of products is spanned relative to the rows kept so
-        # far, so no more than one block is held at a time
-        vecs = np.zeros((0, n * n), dtype=complex)
-        for block in pairwise_products(basis, db):
-            if not np.all(np.isfinite(block)):
-                raise ValueError("matrix has non-finite entries")
-            vecs = np.vstack([vecs, orthonormalize_rows(block, t.tol, against=vecs)])
-        t._derived["one_forms"] = MatrixSubspace(n, vecs)
+        seeds = span(t.dirac @ basis - basis @ t.dirac, t.tol, t.hilbert_dim)
+        mult = t.algebra().generators
+        t._derived["one_forms"] = spin(seeds, mult, t.tol)
     return t._derived["one_forms"]
 
 

@@ -1,15 +1,17 @@
 """Reference computations the tests compare the engine against.
 
 Each is the direct, per-element form of something the engine computes in
-bulk; none is reachable from a command.
+bulk, or an input whose derived dimensions are known apart from the engine;
+none is reachable from a command.
 """
 
 import numpy as np
 
-from nccheck._kernels import residual_norms
+from nccheck._kernels import orthonormalize_rows, residual_norms
 from nccheck.algebra import pairwise_products
-from nccheck.numlin import as_matrix, kron
+from nccheck.numlin import MatrixSubspace, as_matrix, kron
 from nccheck.product import homogeneous_parts
+from nccheck.serialize import SCHEMA_VERSION, matrix_to_json
 
 
 def closure_defect(alg):
@@ -25,8 +27,39 @@ def closure_defect(alg):
         return 0.0
     vecs = alg.subspace.vecs
     adjs = np.conj(np.transpose(basis, (0, 2, 1))).reshape(k, -1)
-    res = max(residual_norms(p, vecs).max() for p in pairwise_products(basis))
+    res = max(residual_norms(p, vecs).max() for p in pairwise_products(basis, basis))
     return float(max(res, residual_norms(adjs, vecs).max()))
+
+
+def pairwise_one_forms(t):
+    """Omega^1_D(A) as the span of all k^2 products a [D, b], a and b over
+    the algebra basis, orthonormalised in one stack."""
+    basis = t.algebra_basis()
+    db = t.dirac @ basis - basis @ t.dirac
+    products = np.vstack(list(pairwise_products(basis, db)))
+    return MatrixSubspace(t.hilbert_dim, orthonormalize_rows(products, t.tol))
+
+
+def dense_document(n, seed):
+    """A seeded generic document on C^n: two random generators and a random
+    Hermitian D, no grading or J.
+
+    A generic pair generates M_n, and a non-scalar D gives one-forms whose
+    left M_n-module is M_n, so A, Omega^1 and Cl_D all have dimension n^2.
+    """
+    rng = np.random.default_rng(seed)
+
+    def rand():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    gens = [rand(), rand()]
+    d = rand()
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "algebra_generators": [matrix_to_json(g) for g in gens],
+        "dirac": matrix_to_json(d + d.conj().T),
+        "metadata": {"name": f"dense_{n}[{seed}]"},
+    }
 
 
 def graded_product(a, b, gamma1, gamma2, side="left"):

@@ -124,7 +124,7 @@ def test_pairwise_products_match_naive(monkeypatch):
         blocks = list(pairwise_products(left, right))
         assert len(blocks) == n_blocks
         assert np.allclose(np.vstack(blocks), want, atol=1e-12)
-    square = np.vstack(list(pairwise_products(left)))
+    square = np.vstack(list(pairwise_products(left, left)))
     assert np.allclose(square, [(a @ b).reshape(-1) for a in left for b in left], atol=1e-12)
 
 

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from nccheck.numlin import DEFAULT_TOL
+from oracles import dense_document
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "golden")
@@ -81,6 +82,58 @@ def test_check_invariant_violation_exit_3(tmp_path):
     proc = run_cli("check", str(p))
     assert proc.returncode == 3
     assert "dirac_self_adjoint" in proc.stderr
+
+
+def _hodge_variant(tmp_path, name, edit):
+    doc = json.load(open(os.path.join(GOLDEN, "hodge_m2.json")))
+    doc["metadata"] = {}
+    edit(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_empty_generator_list_exit_3(tmp_path):
+    empty = _hodge_variant(tmp_path, "empty.json", lambda d: d.update(algebra_generators=[]))
+    hodge = os.path.join(GOLDEN, "hodge_m2.json")
+    for args in (("check", empty), ("product", empty, hodge), ("product", hodge, empty)):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, (args, proc.stderr)
+        assert "algebra_generators_nonempty" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def _scale_dirac(s):
+    def edit(doc):
+        doc["dirac"] = [[[re * s, im * s] for re, im in row] for row in doc["dirac"]]
+
+    return edit
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e300])
+def test_dirac_with_overflowing_square_exit_3(tmp_path, scale):
+    proc = run_cli("check", _hodge_variant(tmp_path, "big.json", _scale_dirac(scale)))
+    assert proc.returncode == 3, proc.stderr
+    assert "dirac_norm_squared_finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dirac_with_finite_square_runs_to_verdicts(tmp_path):
+    proc = run_cli("check", _hodge_variant(tmp_path, "big.json", _scale_dirac(1e150)), "--json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    names = {c["name"] for c in json.loads(proc.stdout)["checks"]}
+    assert {"order_zero", "order_one", "order_two"} <= names
+
+
+def test_check_dense_generic_pair_spans_full_matrix_algebra(tmp_path):
+    # a generic pair generates M_16, so A = Omega^1 = Cl_D = M_16 (256)
+    p = tmp_path / "dense16.json"
+    p.write_text(json.dumps(dense_document(16, 0)))
+    proc = run_cli("check", str(p), "--json")
+    assert proc.returncode == 0, proc.stderr
+    det = json.loads(proc.stdout)["details"]
+    assert (det["algebra_dim"], det["one_forms_dim"], det["clifford_dim"]) == (256, 256, 256)
 
 
 def test_expected_mismatch_exit_1(tmp_path):

@@ -24,7 +24,7 @@ from nccheck.triple import (
     ko_dimensions,
     one_forms,
 )
-from oracles import closure_defect
+from oracles import closure_defect, dense_document, pairwise_one_forms
 
 S0, S1, S2, S3 = PAULI
 
@@ -39,6 +39,12 @@ def test_validation_names_failed_invariant():
     with pytest.raises(TripleValidationError) as err:
         FiniteSpectralTriple([S3], S1, grading=S1)  # {gamma, D} != 0
     assert err.value.invariant == "grading_anticommutes_dirac"
+    with pytest.raises(TripleValidationError) as err:
+        FiniteSpectralTriple([], S3)
+    assert err.value.invariant == "algebra_generators_nonempty"
+    with pytest.raises(TripleValidationError) as err:
+        FiniteSpectralTriple([S1], 1e155 * S3)  # |D|^2 overflows
+    assert err.value.invariant == "dirac_norm_squared_finite"
 
 
 def test_grading_commutation_downgraded_to_warning():
@@ -258,14 +264,35 @@ def test_order_check_takes_svd_norms_of_violations_only(monkeypatch, mode, viola
 
 
 @pytest.mark.parametrize("name", ["hodge_m2.json", "mixed_1.json x mixed_2.json"])
-def test_one_forms_spanned_block_by_block(monkeypatch, name):
-    # with one left factor per block of products, each block is spanned
-    # relative to the rows kept before it: the same greedy rows as one block
+def test_spun_spaces_independent_of_product_block_size(monkeypatch, name):
+    # with one left factor per block of products, every closure round tests
+    # the same candidates in the same order: the block size only sets memory
     from nccheck import algebra
 
-    whole = one_forms(_golden_triple(name)).vecs
+    def spaces(t):
+        algebras = (t.algebra(), clifford(t), clifford_gamma(t))
+        return [one_forms(t).vecs] + [a.subspace.vecs for a in algebras]
+
+    whole = spaces(_golden_triple(name))
+    monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", 1)
     t = _golden_triple(name)
-    k, n = t.algebra().dim, t.hilbert_dim
-    monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", k * n * n)
-    assert len(list(algebra.pairwise_products(t.algebra_basis()))) == k
-    np.testing.assert_allclose(one_forms(t).vecs, whole, rtol=0, atol=1e-10)
+    gens = t.algebra().generators
+    assert len(list(algebra.pairwise_products(gens, gens))) == len(gens)
+    for got, want in zip(spaces(t), whole):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+
+
+def test_spun_one_forms_match_pairwise_oracle():
+    # the golden files, the golden pairs' products in both J modes, seeded
+    # random triples and a generic dense triple
+    triples = [_golden_triple(name) for name in sorted(os.listdir(GOLDEN))]
+    triples += [
+        product_triple(_golden_triple(a), _golden_triple(b), mode)
+        for a, b in GOLDEN_KOSZUL_PAIRS
+        for mode in ("plain", "koszul")
+    ]
+    triples += [random_triple(seed) for seed in range(50)]
+    triples.append(triple_from_document(dense_document(12, 0)))
+    assert len(triples) == 63
+    for t in triples:
+        assert subspace_equal(one_forms(t), pairwise_one_forms(t), 1e-9), t.name
