@@ -40,29 +40,53 @@ class OperatorAlgebra:
         return self.subspace.basis_matrices()
 
 
-# Entries of one block of pairwise products (8 MiB of complex128).  In a
-# spinning round the block's GEMM result, its transposed copy and the
-# residual filter's two temporaries are alive together, so four blocks set
-# the peak memory of a large closure; each GEMM still has hundreds of rows.
+# Entries of one block of pairwise products (8 MiB of complex128) in block
+# coordinates.  In a spinning round the block, a GEMM result and the residual
+# filter's two temporaries are alive together, so four blocks set the peak
+# memory of a large closure; each GEMM still has hundreds of rows.
 _PRODUCT_BLOCK_ENTRIES = 1 << 19
 
 
-def pairwise_products(left, right):
+def block_layout(n, *stacks):
+    """Index sets, in order of their smallest index, of the components of the
+    graph on 0..n-1 that joins i and j when a matrix of ``stacks`` has an
+    exact nonzero (i, j) or (j, i) entry.  Sums, products and adjoints of
+    such matrices are zero off these diagonal blocks, exactly (the first step
+    of block diagonalisation, Murota-Kanno-Kojima-Kojima, JJIAM 27, 2010)."""
+    pattern = np.eye(n, dtype=bool)
+    for s in stacks:
+        pattern |= (np.asarray(s).reshape(-1, n, n) != 0).any(axis=0)
+    pattern |= pattern.T
+    label, lower = None, np.arange(n)
+    while not np.array_equal(label, lower):  # each index takes its neighbours' least label
+        label, lower = lower, np.where(pattern, lower, n).min(axis=1)
+    return [np.flatnonzero(label == r) for r in sorted(set(label.tolist()))]
+
+
+def pairwise_products(left, right, sizes):
     """Flattened products left[a] @ right[b], in row order a * len(right) + b.
 
-    Yields blocks of consecutive rows a; each block is one GEMM of the
-    stacked rows of ``left[a0:a1]`` against the side-by-side ``right``.
+    A row holds a block-diagonal matrix as its diagonal blocks of the given
+    sizes, each flattened row-major, one after the other; a dense n x n
+    matrix is one block of size n.  Yields blocks of consecutive rows a; each
+    takes one GEMM per diagonal block, of the stacked rows of ``left[a0:a1]``
+    against the side-by-side ``right``.
     """
-    k, n, _ = right.shape
-    side_by_side = right.transpose(1, 0, 2).reshape(n, k * n)  # [j, (b, l)]
-    chunk = max(1, _PRODUCT_BLOCK_ENTRIES // (k * n * n))
+    k, width = right.shape
+    ends = np.cumsum([s * s for s in sizes])
+    sides = [right[:, e - s * s : e].reshape(k, s, s).transpose(1, 0, 2).reshape(s, k * s)
+             for s, e in zip(sizes, ends)]  # [j, (b, l)]
+    chunk = max(1, _PRODUCT_BLOCK_ENTRIES // (k * width))
     for start in range(0, left.shape[0], chunk):
         rows = left[start : start + chunk]
         c = rows.shape[0]
-        block = (rows.reshape(c * n, n) @ side_by_side).reshape(c, n, k, n)
-        # rebinding frees the GEMM result while the caller works on the copy
-        block = block.transpose(0, 2, 1, 3).reshape(c * k, n * n)
-        yield block
+        block = np.empty((c, k, width), dtype=complex)
+        for s, e, side in zip(sizes, ends, sides):
+            # written through a view, so the GEMM result is the only temporary
+            block[:, :, e - s * s : e].reshape(c, k, s, s)[...] = (
+                (rows[:, e - s * s : e].reshape(c * s, s) @ side).reshape(c, s, k, s).transpose(0, 2, 1, 3)
+            )
+        yield block.reshape(c * k, width)
 
 
 def spin(space, mult, tol):
@@ -71,17 +95,29 @@ def spin(space, mult, tol):
     Spinning, the MeatAxe step (R. A. Parker, 1984): each round multiplies
     only the rows added by the round before (at first all of ``space``) on
     the left by ``mult`` and orthonormalises the products with a residual
-    > tol against the span into the rows of the next round.
+    > tol against the span into the rows of the next round.  It runs on the
+    coordinates inside the ``block_layout`` of ``space`` and ``mult``, which
+    hold every product, and scatters the basis to n x n matrices at the end;
+    the dropped coordinates are exact zeros, so no norm changes.
     """
     n = space.ambient_dim
-    frontier = space.basis_matrices()
-    while frontier.shape[0] and mult.shape[0] and space.dim < n * n:
-        new = [p[residual_norms(p, space.vecs) > tol] for p in pairwise_products(mult, frontier)]
-        extra = orthonormalize_rows(np.vstack(new), tol, against=space.vecs)
+    blocks = block_layout(n, space.vecs, mult)
+    vecs, gens = space.vecs, mult.reshape(len(mult), n * n)
+    if len(blocks) > 1:  # one block is the dense loop, with no copy
+        coords = np.concatenate([(b[:, None] * n + b).ravel() for b in blocks])
+        vecs, gens = vecs[:, coords], gens[:, coords]
+    frontier = vecs
+    while frontier.shape[0] and gens.shape[0] and vecs.shape[0] < vecs.shape[1]:
+        products = pairwise_products(gens, frontier, [len(b) for b in blocks])
+        new = [p[residual_norms(p, vecs) > tol] for p in products]
+        frontier = orthonormalize_rows(np.vstack(new), tol, against=vecs)
         del new  # free the candidate rows before the grown basis is allocated
-        space = MatrixSubspace(n, np.vstack([space.vecs, extra]))
-        frontier = extra.reshape(-1, n, n)
-    return space
+        vecs = np.vstack([vecs, frontier])
+    if len(blocks) > 1:
+        dense = np.zeros((vecs.shape[0], n * n), dtype=complex)
+        dense[:, coords] = vecs
+        vecs = dense
+    return MatrixSubspace(n, vecs)
 
 
 def generate_star_algebra(generators, unital=True, tol=DEFAULT_TOL):

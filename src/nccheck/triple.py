@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import commutes_with_all, generate_star_algebra, spin
+from .algebra import block_layout, commutes_with_all, generate_star_algebra, spin
 from .numlin import (
     DEFAULT_TOL,
     AntilinearOperator,
@@ -108,6 +108,11 @@ class RealStructure:
 # Largest |D| whose square is a finite float.
 _MAX_DIRAC_NORM = float(np.sqrt(np.finfo(float).max))
 
+# Complex entries a closure basis may hold (2 GiB of complex128).  Every
+# closure lies in the blocks of g, [D, g] and gamma: at most sum n_k^2
+# elements of n^2 entries each (n^4 for a dense triple).
+CLOSURE_BUDGET_ENTRIES = 1 << 27
+
 
 class FiniteSpectralTriple:
     """(A, H, D, gamma, J, tau) with concrete matrices on H = C^n.
@@ -142,6 +147,17 @@ class FiniteSpectralTriple:
                 raise TripleValidationError(
                     "generator_dimension", f"generator {i} has dim {g.shape[0]}, expected {n}"
                 )
+        g = None if grading is None else as_matrix(grading)
+        if g is not None and g.shape[0] != n:
+            raise TripleValidationError("grading_dimension", "gamma has wrong dimension")
+        # the budget, from the blocks of Cl^gamma's generators, before the SVDs below
+        blocks = block_layout(n, _leibniz_generators(self) + ([] if g is None else [g]))
+        entries = sum(len(b) ** 2 for b in blocks) * n * n
+        if entries > CLOSURE_BUDGET_ENTRIES:
+            raise TripleValidationError(
+                "closure_size_budget", f"hilbert_dim {n}: a closure basis may need {entries} "
+                f"complex entries, over the budget of {CLOSURE_BUDGET_ENTRIES}"
+            )
         dirac_norm = opnorm(self.dirac)
         if not dirac_norm <= _MAX_DIRAC_NORM:  # order-two commutators scale as |D|^2
             raise TripleValidationError(
@@ -150,10 +166,7 @@ class FiniteSpectralTriple:
         if opnorm(self.dirac - adjoint(self.dirac)) > tol * (1 + dirac_norm):
             raise TripleValidationError("dirac_self_adjoint", "D != D^*")
         self.grading = None
-        if grading is not None:
-            g = as_matrix(grading)
-            if g.shape[0] != n:
-                raise TripleValidationError("grading_dimension", "gamma has wrong dimension")
+        if g is not None:
             if opnorm(g - adjoint(g)) > tol:
                 raise TripleValidationError("grading_self_adjoint", "gamma != gamma^*")
             if opnorm(g @ g - np.eye(n)) > tol:

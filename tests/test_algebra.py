@@ -10,6 +10,7 @@ from nccheck.algebra import (
     commutant_constraint_gram,
     commutant_dimension,
     generate_star_algebra,
+    block_layout,
     pairwise_products,
 )
 from nccheck.catalog import TRANSPOSE_PERM
@@ -23,7 +24,7 @@ from nccheck.numlin import (
     subspace_equal,
 )
 from nccheck.product import graded_algebra, random_graded_pair
-from oracles import closure_defect
+from oracles import closure_defect, random_block_generators
 
 S0, S1, S2, S3 = PAULI
 
@@ -113,19 +114,65 @@ def test_constraint_gram_matches_explicit_sum():
             assert np.allclose(commutant_constraint_gram(gens), want, atol=1e-12)
 
 
+def _block_rows(stack):
+    """Rows of concatenated flattened diagonal blocks, one row per list of blocks."""
+    return np.stack([np.concatenate([b.reshape(-1) for b in m]) for m in stack])
+
+
 def test_pairwise_products_match_naive(monkeypatch):
+    # one dense 3 x 3 block, then diagonal blocks of sizes 2, 1 and 3
     rng = np.random.default_rng(7)
-    left = np.stack([rand_mat(rng, 3) for _ in range(5)])
-    right = np.stack([rand_mat(rng, 3) for _ in range(4)])
-    want = np.stack([(a @ b).reshape(-1) for a in left for b in right])
-    # one block; blocks of one left factor; blocks of two (4 * 9 entries each)
-    for entries, n_blocks in ((1 << 21, 1), (1, 5), (2 * 4 * 9, 3)):
-        monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", entries)
-        blocks = list(pairwise_products(left, right))
-        assert len(blocks) == n_blocks
-        assert np.allclose(np.vstack(blocks), want, atol=1e-12)
-    square = np.vstack(list(pairwise_products(left, left)))
-    assert np.allclose(square, [(a @ b).reshape(-1) for a in left for b in left], atol=1e-12)
+    for sizes in ([3], [2, 1, 3]):
+        left = [[rand_mat(rng, s) for s in sizes] for _ in range(5)]
+        right = [[rand_mat(rng, s) for s in sizes] for _ in range(4)]
+        width = sum(s * s for s in sizes)
+        want = _block_rows([[x @ y for x, y in zip(a, b)] for a in left for b in right])
+        # one block; blocks of one left factor; blocks of two (4 * width entries each)
+        for entries, n_blocks in ((1 << 21, 1), (1, 5), (2 * 4 * width, 3)):
+            monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", entries)
+            blocks = list(pairwise_products(_block_rows(left), _block_rows(right), sizes))
+            assert len(blocks) == n_blocks
+            assert np.allclose(np.vstack(blocks), want, atol=1e-12)
+        square = np.vstack(list(pairwise_products(_block_rows(left), _block_rows(left), sizes)))
+        want = _block_rows([[x @ y for x, y in zip(a, b)] for a in left for b in left])
+        assert np.allclose(square, want, atol=1e-12)
+
+
+def test_block_layout_components():
+    e01 = np.zeros((4, 4), dtype=complex)
+    e01[0, 1] = 1
+    e23 = np.roll(np.roll(e01, 2, axis=0), 2, axis=1)
+    # an entry (i, j) joins i and j in both directions: (0, 1) alone, then
+    # (0, 1) and (3, 2), which only the adjoint of E23 would show
+    assert [b.tolist() for b in block_layout(4, [e01])] == [[0, 1], [2], [3]]
+    assert [b.tolist() for b in block_layout(4, [e01], [e23.T])] == [[0, 1], [2, 3]]
+    # a chain 3-1, 1-2 with an interleaved index 0 on its own
+    chain = np.zeros((4, 4))
+    chain[3, 1] = chain[1, 2] = 1e-300
+    assert [b.tolist() for b in block_layout(4, chain)] == [[0], [1, 2, 3]]
+    assert [b.tolist() for b in block_layout(2, np.ones((1, 4)))] == [[0, 1]]
+
+
+def test_spin_closure_connected_only_through_an_adjoint():
+    # the shift E01 + E12 is upper triangular; with its adjoint it generates
+    # M3, so the blocks must join (i, j) and (j, i)
+    shift = np.diag([1.0, 1.0], 1).astype(complex)
+    alg = generate_star_algebra([shift])
+    assert alg.dim == 9 and subspace_equal(alg.subspace, _all_pairs_closure([shift], True))
+    gens = [np.kron(np.eye(2), shift)]  # two copies: two blocks
+    alg = generate_star_algebra(gens)
+    assert alg.dim == 9 and subspace_equal(alg.subspace, _all_pairs_closure(gens, True))
+
+
+def test_spin_closure_connected_only_through_the_space():
+    # diagonal multipliers split {0}, {1}; the all-ones seed joins them, and
+    # its left module under the diagonal is {[[a, a], [b, b]]}
+    diag = np.diag([1.0, 2.0]).astype(complex)
+    ones = np.ones((2, 2), dtype=complex)
+    space = algebra.spin(span([ones]), span([diag]).basis_matrices(), 1e-9)
+    assert space.dim == 2
+    assert space.contains(np.array([[1, 1], [0, 0]], dtype=complex))
+    assert space.contains(np.array([[0, 0], [1, 1]], dtype=complex))
 
 
 def _all_pairs_closure(generators, unital, tol=1e-9):
@@ -142,45 +189,6 @@ def _all_pairs_closure(generators, unital, tol=1e-9):
         space = MatrixSubspace(n, np.vstack([space.vecs, grown]))
 
 
-# (d, m) blocks of sum M_d (x) 1_m on sum C^d (x) C^m, at most 6 dimensions
-_BLOCK_LAYOUTS = (
-    [(2, 1), (1, 2)],
-    [(2, 2)],
-    [(1, 1), (1, 1), (1, 1)],
-    [(2, 1), (1, 1)],
-    [(3, 1), (1, 2)],
-    [(2, 1), (2, 1)],
-    [(1, 3), (2, 1)],
-    [(2, 3)],
-)
-
-
-def _random_block_generators(rng, unital):
-    """1-3 generators of a proper *-subalgebra of M_n in a random unitary
-    basis, plus one that is zero or redundant; without a unit, a block on
-    which every generator vanishes when there is room for one."""
-    layout = _BLOCK_LAYOUTS[rng.integers(len(_BLOCK_LAYOUTS))]
-    n_alg = sum(d * m for d, m in layout)
-    n = n_alg + (0 if unital or n_alg == 6 else 1)
-    u, _ = np.linalg.qr(rand_mat(rng, n))
-    gens = []
-    for _ in range(int(rng.integers(1, 4))):
-        g = np.zeros((n, n), dtype=complex)
-        at = 0
-        for d, m in layout:
-            g[at : at + d * m, at : at + d * m] = np.kron(rand_mat(rng, d), np.eye(m))
-            at += d * m
-        gens.append(u @ g @ u.conj().T)
-    kind = rng.integers(3)
-    if kind == 0:
-        gens.append(np.zeros((n, n), dtype=complex))
-    elif kind == 1:
-        gens.append(gens[0] @ gens[-1] + 2 * gens[0])
-    else:
-        gens.append(gens[-1].conj().T)
-    return gens
-
-
 @pytest.mark.parametrize("unital", [True, False], ids=["unital", "non_unital"])
 def test_spinning_matches_all_pairs_closure_within_work_bound(monkeypatch, unital):
     real = algebra.residual_norms
@@ -192,8 +200,9 @@ def test_spinning_matches_all_pairs_closure_within_work_bound(monkeypatch, unita
 
     monkeypatch.setattr(algebra, "residual_norms", counted)
     rng = np.random.default_rng(11 if unital else 12)
-    for _ in range(25):
-        gens = _random_block_generators(rng, unital)
+    # a random unitary basis (one block), then a permuted one (interleaved)
+    for permuted in [False] * 25 + [True] * 25:
+        gens = random_block_generators(rng, unital, permuted)
         rows.clear()
         alg = generate_star_algebra(gens, unital)
         tested = sum(rows)
@@ -250,7 +259,7 @@ def test_commutant_dimension_matches_basis_computation(monkeypatch):
         n = int(rng.integers(2, 5))
         algs.append(generate_star_algebra([rand_mat(rng, n) for _ in range(int(rng.integers(1, 3)))]))
     for _ in range(10):
-        alg = generate_star_algebra(_random_block_generators(rng, True))
+        alg = generate_star_algebra(random_block_generators(rng, True))
         algs += [alg, circ_image(rand_j(rng, alg.ambient_dim), alg)]
     pair = random_graded_pair(rng)
     graded = graded_algebra(pair.b1, pair.b2, pair.gamma1, pair.gamma2)
@@ -268,7 +277,7 @@ def test_commutant_dimension_matches_basis_computation(monkeypatch):
 def test_stored_generators_regenerate_the_algebra(unital):
     rng = np.random.default_rng(13 if unital else 14)
     for _ in range(10):
-        alg = generate_star_algebra(_random_block_generators(rng, unital), unital)
+        alg = generate_star_algebra(random_block_generators(rng, unital), unital)
         img = circ_image(rand_j(rng, alg.ambient_dim), alg)
         for b in (alg, img):
             again = generate_star_algebra(list(b.generators), unital)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -101,6 +102,27 @@ def test_empty_generator_list_exit_3(tmp_path):
         assert proc.returncode == 3, (args, proc.stderr)
         assert "algebra_generators_nonempty" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def test_check_over_the_closure_budget_exit_3_before_any_closure(tmp_path, monkeypatch, capsys):
+    # a generic pair of 200 x 200 generators may generate M_200: a closure
+    # basis of 200^4 complex entries (25.6 GB), over the budget
+    from nccheck import algebra, cli
+    from nccheck import triple as triple_mod
+
+    p = tmp_path / "dense200.json"
+    p.write_text(json.dumps(dense_document(200, 0)))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a closure was spun")
+
+    monkeypatch.setattr(algebra, "spin", never)
+    monkeypatch.setattr(triple_mod, "spin", never)
+    started = time.perf_counter()
+    assert cli.main(["check", str(p)]) == 3
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "closure_size_budget" in err and "hilbert_dim 200" in err and f"{200**4} complex" in err
 
 
 def _scale_dirac(s):

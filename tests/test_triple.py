@@ -7,7 +7,7 @@ import pytest
 from nccheck import triple as triple_mod
 from nccheck.algebra import generate_star_algebra
 from nccheck.catalog import example_evenspin, example_hodge_m2, random_triple
-from nccheck.numlin import PAULI, AntilinearOperator, opnorm, subspace_equal
+from nccheck.numlin import PAULI, AntilinearOperator, MatrixSubspace, opnorm, subspace_equal
 from nccheck.product import product_triple
 from nccheck.serialize import triple_from_document
 from nccheck.triple import (
@@ -24,7 +24,7 @@ from nccheck.triple import (
     ko_dimensions,
     one_forms,
 )
-from oracles import closure_defect, dense_document, pairwise_one_forms
+from oracles import closure_defect, dense_document, pairwise_one_forms, random_block_generators
 
 S0, S1, S2, S3 = PAULI
 
@@ -45,6 +45,20 @@ def test_validation_names_failed_invariant():
     with pytest.raises(TripleValidationError) as err:
         FiniteSpectralTriple([S1], 1e155 * S3)  # |D|^2 overflows
     assert err.value.invariant == "dirac_norm_squared_finite"
+
+
+def test_closure_budget_counts_the_block_layout():
+    # at n = 200, diagonal g, [D, g] and gamma give 200 blocks of one index:
+    # 200 * 200^2 entries, inside the budget; one off-diagonal generator
+    # entry per index pair joins them into one block, n^4 entries, over it
+    n = 200
+    diag = np.diag(np.arange(1.0, n + 1)).astype(complex)
+    FiniteSpectralTriple([diag], diag)
+    assert n * n * n <= triple_mod.CLOSURE_BUDGET_ENTRIES < n**4
+    chain = diag + np.diag(np.ones(n - 1), 1)
+    with pytest.raises(TripleValidationError) as err:
+        FiniteSpectralTriple([chain], diag)
+    assert err.value.invariant == "closure_size_budget"
 
 
 def test_grading_commutation_downgraded_to_warning():
@@ -277,7 +291,8 @@ def test_spun_spaces_independent_of_product_block_size(monkeypatch, name):
     monkeypatch.setattr(algebra, "_PRODUCT_BLOCK_ENTRIES", 1)
     t = _golden_triple(name)
     gens = t.algebra().generators
-    assert len(list(algebra.pairwise_products(gens, gens))) == len(gens)
+    flat = gens.reshape(len(gens), -1)
+    assert len(list(algebra.pairwise_products(flat, flat, [t.hilbert_dim]))) == len(gens)
     for got, want in zip(spaces(t), whole):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
@@ -296,3 +311,63 @@ def test_spun_one_forms_match_pairwise_oracle():
     assert len(triples) == 63
     for t in triples:
         assert subspace_equal(one_forms(t), pairwise_one_forms(t), 1e-9), t.name
+
+
+def _conjugation_case(name):
+    """A golden file, a golden pair's product in one J mode ('a x b (mode)'),
+    or a seeded triple on permuted block generators ('block[seed]')."""
+    if name.startswith("block["):
+        rng = np.random.default_rng(int(name[6:-1]))
+        gens = random_block_generators(rng, True, permuted=True)
+        n = gens[0].shape[0]
+        # a diagonal D keeps the blocks and gives one-forms outside A
+        return FiniteSpectralTriple(gens, np.diag(rng.standard_normal(n)).astype(complex))
+    if " x " in name:
+        pair, mode = name[:-1].split(" (")
+        first, second = (_golden_triple(part) for part in pair.split(" x "))
+        return product_triple(first, second, mode)
+    return _golden_triple(name)
+
+
+def _closures(t):
+    """A, Omega^1, Cl_D and, for a graded triple, Cl^gamma."""
+    spaces = [t.algebra().subspace, one_forms(t), clifford(t).subspace]
+    return spaces + ([clifford_gamma(t).subspace] if t.grading is not None else [])
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(os.listdir(GOLDEN))
+    + [f"{a} x {b} ({mode})" for a, b in GOLDEN_KOSZUL_PAIRS for mode in ("plain", "koszul")]
+    + [f"block[{seed}]" for seed in range(10)],
+)
+def test_closures_unchanged_by_conjugating_the_block_layout(name):
+    # a random permutation interleaves the blocks of exact nonzeros; a random
+    # unitary leaves one block, so the spin is the dense one.  Conjugated
+    # back, every closure equals the one spun on the given blocks.
+    t = _conjugation_case(name)
+    n = t.hilbert_dim
+    rng = np.random.default_rng(n)
+    perm = np.eye(n)[rng.permutation(n)]
+    unitary, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    want = _closures(t)
+    for u in (perm, unitary):
+        uh = u.conj().T
+        moved = FiniteSpectralTriple(
+            [u @ g @ uh for g in t.algebra_generators],
+            u @ t.dirac @ uh,
+            grading=None if t.grading is None else u @ t.grading @ uh,
+        )
+        got = _closures(moved)
+        assert len(got) == len(want)
+        for space, ref in zip(got, want):
+            back = MatrixSubspace(n, (uh @ space.basis_matrices() @ u).reshape(space.dim, -1))
+            assert back.dim == ref.dim and subspace_equal(back, ref), name
+
+
+def test_one_forms_connected_only_through_the_seeds():
+    # A is diagonal, so its generators split {0}, {1}; the seeds [D, b] join
+    # them, and Omega^1 = span{E01, E10}
+    t = FiniteSpectralTriple([np.diag([1.0, 2.0]).astype(complex)], S1)
+    assert one_forms(t).dim == 2
+    assert subspace_equal(one_forms(t), pairwise_one_forms(t))
